@@ -21,8 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, OpnormLabError, QuadratureError
-from .quadrature import circle_grid, gauss_rule_01, integrate_adaptive_01
-from .spaces import QuadConfig, SpaceSpec, SupNormResult, space_norm, sup_norm, _golden_max
+from .quadrature import gauss_rule_01, integrate_adaptive_01
+from .spaces import QuadConfig, SpaceSpec, SupNormResult, space_norm, sup_norm
 from .symbols import SymbolFamily, eval_symbol, frozen_symbol, is_boundary_continuous
 
 __all__ = [
@@ -249,63 +249,35 @@ def _angular_distance(a: complex, b: complex) -> float:
     return abs(cmath.phase(a * b.conjugate()))
 
 
-def _boundary_argmax(g, q: QuadConfig, band: float) -> tuple[BoundaryArgmax, SupNormResult]:
-    sres = sup_norm(g, q)
-    if sres.value < max(q.tol, 1e-12):
-        return BoundaryArgmax((), full_circle=True), sres
-    if sres.plateau and sres.residual >= 0.9 * _TWO_PI:
-        return BoundaryArgmax((), full_circle=True), sres
+def _boundary_argmax(sres: SupNormResult, q: QuadConfig, band: float) -> BoundaryArgmax:
+    """The maximizer and the (at most 64) best peaks of ``sres`` within ``band``."""
+    if sres.value < max(q.tol, 1e-12) or (sres.plateau and sres.residual >= 0.9 * _TWO_PI):
+        return BoundaryArgmax((), full_circle=True)
 
-    n = q.n_theta
-    spacing = _TWO_PI / n
-    thetas = _TWO_PI * np.arange(n) / n
-    vals = np.abs(np.asarray(g(circle_grid(n))))
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    is_lmax = (vals >= left) & (vals >= right)
-    curvature = np.abs(left - 2.0 * vals + right)
-    cand = is_lmax & (vals + curvature >= sres.value - band)
-    js = np.flatnonzero(cand)
-    if js.size > 64:
-        js = js[np.argsort(vals[js])[-64:]]
-
-    points: list[tuple[float, float]] = [(sres.value, float(cmath.phase(sres.maximizer)))]
-    if js.size:
-        fn = lambda th: np.abs(np.asarray(g(np.exp(1j * th))))
-        theta_ref, val_ref, _ = _golden_max(
-            fn, thetas[js] - spacing, thetas[js] + spacing, q.sup_refine_iters
-        )
-        for v, th in zip(val_ref, theta_ref):
-            if float(v) >= sres.value - band:
-                points.append((float(v), float(th)))
+    near = [pair for pair in sres.peaks if pair[0] >= sres.value - band]
+    points = [(sres.value, sres.maximizer)] + sorted(near, key=lambda pair: pair[0])[-64:]
 
     # Merge candidates closer than one grid cell, keeping the best value.
-    points.sort(key=lambda pair: (-pair[0], pair[1]))
-    kept: list[tuple[float, float]] = []
-    for v, th in points:
-        unit = cmath.exp(1j * th)
-        if all(
-            _angular_distance(unit, cmath.exp(1j * other)) > spacing
-            for _, other in kept
-        ):
-            kept.append((v, th))
-    kept.sort(key=lambda pair: pair[1] % _TWO_PI)
-    return (
-        BoundaryArgmax(tuple(cmath.exp(1j * th) for _, th in kept)),
-        sres,
-    )
+    spacing = _TWO_PI / q.n_theta
+    points.sort(key=lambda pair: (-pair[0], cmath.phase(pair[1])))
+    kept: list[complex] = []
+    for _, z in points:
+        if all(_angular_distance(z, other) > spacing for other in kept):
+            kept.append(z)
+    kept.sort(key=lambda z: cmath.phase(z) % _TWO_PI)
+    return BoundaryArgmax(tuple(kept))
 
 
 def argmax_set(f: SymbolFamily, t: float, q: QuadConfig, band: float = 1e-6) -> BoundaryArgmax:
-    """All refined near-maximizers of |g_t| on the circle, within ``band``.
+    """Near-maximizers of |g_t| on the circle, within ``band`` of the sup.
 
-    Returns the full-circle sentinel for near-zero or constant-modulus
+    The maximizer and ``peaks`` of one :func:`sup_norm` call, one per grid
+    cell; the full-circle sentinel for near-zero or constant-modulus
     symbols, where every boundary point maximizes.
     """
     if band <= 0:
         raise DomainError("band must be positive")
-    box, _ = _boundary_argmax(frozen_symbol(f, t), q, band)
-    return box
+    return _boundary_argmax(sup_norm(frozen_symbol(f, t), q), q, band)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +399,8 @@ def certify_equality(
 
     survivors: list[complex] | None = None
     for t in t_grid:
-        box, sres = _boundary_argmax(frozen_symbol(f, float(t)), q, band)
-        sup_cache[float(t)] = sres
+        sup_cache[float(t)] = sres = sup_norm(frozen_symbol(f, float(t)), q)
+        box = _boundary_argmax(sres, q, band)
         if box.full_circle:
             continue
         if survivors is None:

@@ -37,10 +37,31 @@ def _fmt12(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _check_keys(obj, allowed: set[str], path: str) -> None:
+    if not isinstance(obj, dict):
+        raise DomainError(f"{path} must be a JSON object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise DomainError(f"unknown config field {path}.{unknown[0]}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, path: str, kind=float):
+    if not _is_real(value) or (kind is int and value % 1 != 0):
+        raise DomainError(f"{path} must be {'an integer' if kind is int else 'a number'}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise DomainError(f"{path} is out of range") from exc
+
+
+def _numbers(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise DomainError(f"{path} must be a list of numbers")
+    return [_number(v, path) for v in value]
 
 
 @dataclass
@@ -67,8 +88,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise DomainError("config must be a JSON object")
         _check_keys(
             raw,
             {"symbol", "bindings", "space", "quad", "t", "certify", "sweep", "out"},
@@ -77,10 +96,7 @@ class RunConfig:
         if "symbol" not in raw or not isinstance(raw["symbol"], str):
             raise DomainError("config.symbol must be a string")
         bindings = raw.get("bindings", {})
-        if not isinstance(bindings, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in bindings.values()
-        ):
+        if not isinstance(bindings, dict) or not all(map(_is_real, bindings.values())):
             raise DomainError("config.bindings must map names to real numbers")
 
         space_raw = raw.get("space", {"kind": "hardy", "p": 2.0})
@@ -90,14 +106,14 @@ class RunConfig:
             raise DomainError("config.space.kind must be 'hardy' or 'bergman'")
         if "p" not in space_raw:
             raise DomainError("config.space.p is required")
+        p = _number(space_raw["p"], "config.space.p")
         if kind == "hardy":
             if "alpha" in space_raw:
                 raise DomainError("config.space.alpha applies to Bergman spaces only")
-            space = SpaceSpec.hardy(float(space_raw["p"]))
+            space = SpaceSpec.hardy(p)
         else:
-            space = SpaceSpec.bergman(
-                float(space_raw["p"]), float(space_raw.get("alpha", 0.0))
-            )
+            alpha = _number(space_raw.get("alpha", 0.0), "config.space.alpha")
+            space = SpaceSpec.bergman(p, alpha)
 
         quad_raw = raw.get("quad", {})
         _check_keys(
@@ -108,16 +124,17 @@ class RunConfig:
         quad_kwargs = {}
         for key in ("n_theta", "n_radial", "t_nodes", "sup_refine_iters"):
             if key in quad_raw:
-                quad_kwargs[key] = int(quad_raw[key])
+                quad_kwargs[key] = _number(quad_raw[key], f"config.quad.{key}", int)
         if "tol" in quad_raw:
-            quad_kwargs["tol"] = float(quad_raw["tol"])
+            quad_kwargs["tol"] = _number(quad_raw["tol"], "config.quad.tol")
         if "hardy_radii" in quad_raw:
-            quad_kwargs["hardy_radii"] = tuple(float(r) for r in quad_raw["hardy_radii"])
+            radii = _numbers(quad_raw["hardy_radii"], "config.quad.hardy_radii")
+            quad_kwargs["hardy_radii"] = tuple(radii)
         quad = QuadConfig(**quad_kwargs)
 
         certify_raw = raw.get("certify", {})
         _check_keys(certify_raw, {"tol"}, "config.certify")
-        certify_tol = float(certify_raw.get("tol", 1e-6))
+        certify_tol = _number(certify_raw.get("tol", 1e-6), "config.certify.tol")
 
         sweep_raw = raw.get("sweep")
         sweep_binding = None
@@ -127,11 +144,11 @@ class RunConfig:
             if "binding" not in sweep_raw or "values" not in sweep_raw:
                 raise DomainError("config.sweep needs 'binding' and 'values'")
             sweep_binding = str(sweep_raw["binding"])
-            sweep_values = [float(v) for v in sweep_raw["values"]]
+            sweep_values = _numbers(sweep_raw["values"], "config.sweep.values")
 
         t_val = raw.get("t")
         if t_val is not None:
-            t_val = float(t_val)
+            t_val = _number(t_val, "config.t")
 
         out = raw.get("out")
         if out is not None and not isinstance(out, str):

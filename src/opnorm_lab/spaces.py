@@ -127,13 +127,16 @@ class SupNormResult:
 
     ``residual`` is the width of the final refinement bracket, or the arc
     width when the modulus plateaus and no bracket exists; ``plateau``
-    flags that case.
+    flags that case.  ``peaks`` holds (value, point) for every grid local
+    maximum, refined where the search refined it; argmax sets and equality
+    certificates reuse them instead of searching again.
     """
 
     value: float
     maximizer: complex
     residual: float
     plateau: bool = False
+    peaks: tuple[tuple[float, complex], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +273,7 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
     maximum after refinement (judged by the local curvature).  Plateaus,
     where |g| is constant to within 1e-9 relative, have no bracket to
     refine; they return the plateau midpoint with the arc width as the
-    residual and ``plateau=True``.
+    residual and ``plateau=True``.  All grid local maxima are returned as ``peaks``.
     """
     n = q.n_theta
     thetas = _TWO_PI * np.arange(n) / n
@@ -306,6 +309,8 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
     js = np.flatnonzero(cand)
     if js.size > 64:
         js = js[np.argsort(vals[js])[-64:]]
+    lmax = np.flatnonzero(is_lmax)
+    peak_vals, peak_zs = vals[lmax], zs[lmax]
 
     best_value = vmax
     best_theta = float(thetas[jmax])
@@ -317,6 +322,9 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
         theta_ref, val_ref, widths = _golden_max(
             fn, thetas[js] - spacing, thetas[js] + spacing, q.sup_refine_iters
         )
+        at = np.searchsorted(lmax, js)
+        peak_vals[at] = val_ref
+        peak_zs[at] = np.exp(1j * theta_ref)
         k = int(np.argmax(val_ref))
         if float(val_ref[k]) >= best_value:
             best_value = float(val_ref[k])
@@ -334,6 +342,7 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
         maximizer=complex(np.exp(1j * best_theta)),
         residual=best_width,
         plateau=best_plateau,
+        peaks=tuple(zip(peak_vals.tolist(), peak_zs.tolist())),
     )
 
 

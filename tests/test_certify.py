@@ -48,18 +48,33 @@ def test_check_wx_probe_validation(quad):
 
 
 def test_argmax_set_positive_coefficient(quad):
-    fam = ol.parse_symbol("(c + t + z)", {"c": 0.3})
-    box = ol.argmax_set(fam, 0.5, quad, band=1e-6)
-    assert not box.full_circle
-    assert len(box.points) == 1
-    assert abs(box.points[0] - 1.0) < 1e-6
+    # A shift c + t of 1e-7 or 1e-9 leaves |g| flat to 1e-9 on a partial arc
+    # around the maximizer, which is then only pinned down to one grid cell.
+    # With 1 + z^2 + 0.001 z the peak at -1 is 0.002 below the one at +1:
+    # outside the default band, inside a band of 0.01.
+    cell = 2 * np.pi / quad.n_theta
+    cases = (
+        ("(c + t + z)", 0.3, 1e-6, (1.0,), 1e-6),
+        ("(c + t + z)", -0.5 + 1e-7, 1e-6, (1.0,), cell),
+        ("(c + t + z)", -0.5 + 1e-9, 1e-6, (1.0,), cell),
+        ("1 + z^2 + c*z", 1e-3, 1e-6, (1.0,), 1e-6),
+        ("1 + z^2 + c*z", 1e-3, 0.01, (1.0, -1.0), 1e-6),
+    )
+    for text, c, band, expected, tol in cases:
+        box = ol.argmax_set(ol.parse_symbol(text, {"c": c}), 0.5, quad, band=band)
+        assert not box.full_circle
+        assert len(box.points) == len(expected)
+        assert all(abs(p - e) < tol for p, e in zip(box.points, expected))
 
 
 def test_argmax_set_negative_coefficient(quad):
-    fam = ol.parse_symbol("(c + t + z)", {"c": -2.0})
-    box = ol.argmax_set(fam, 0.5, quad, band=1e-6)
-    assert len(box.points) == 1
-    assert abs(box.points[0] + 1.0) < 1e-6
+    cell = 2 * np.pi / quad.n_theta
+    for c, tol in ((-2.0, 1e-6), (-0.5 - 1e-7, cell)):
+        fam = ol.parse_symbol("(c + t + z)", {"c": c})
+        box = ol.argmax_set(fam, 0.5, quad, band=1e-6)
+        assert not box.full_circle
+        assert len(box.points) == 1
+        assert abs(box.points[0] + 1.0) < tol
 
 
 def test_argmax_set_plateau_sentinel(quad):
@@ -95,6 +110,30 @@ def test_certify_equality_positive_shift(quad):
     assert abs(cand.theta - 1.0) < 1e-6
     assert cand.i1_residual < 1e-8
     assert cand.i2_residual < 1e-8
+
+
+def test_certify_equality_scans_the_circle_once_per_t(monkeypatch):
+    from opnorm_lab import certify
+
+    q = ol.QuadConfig(n_theta=512, t_nodes=32)
+    scans: dict[float, int] = {}
+    frozen = certify.frozen_symbol
+
+    def counting_frozen(f, t):
+        g = frozen(f, t)
+
+        def counted(z):
+            if np.size(z) == q.n_theta:
+                scans[t] = scans.get(t, 0) + 1
+            return g(z)
+
+        return counted
+
+    monkeypatch.setattr(certify, "frozen_symbol", counting_frozen)
+    rep = ol.certify_equality(ol.parse_symbol("(c + t + z)", {"c": 0.3}), HARDY2, q)
+    assert rep.verdict == "EqualityCertified"
+    assert len(scans) == len(certify._certify_t_grid(q)) == 48
+    assert set(scans.values()) == {1}
 
 
 def test_certify_equality_negative_shift(quad):

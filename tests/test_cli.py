@@ -99,6 +99,26 @@ def test_nested_unknown_field_rejected(tmp_path, capsys):
     assert "config.quad.junk" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"space": 5},
+        {"quad": {"n_theta": None}},
+        {"sweep": {"binding": "c", "values": 5}},
+        {"certify": {"tol": None}},
+        {"t": [1]},
+        {"t": True},
+        {"t": "0.5"},
+        {"quad": {"n_theta": 2048.9}},
+    ],
+)
+def test_mistyped_config_is_domain_error(tmp_path, capsys, extra):
+    cfg = _write_config(tmp_path, {**BASE, **extra})
+    assert run_cli(["gap", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.") and "internal error" not in err
+
+
 def test_malformed_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
