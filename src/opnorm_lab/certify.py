@@ -315,6 +315,13 @@ def _certify_t_grid(q: QuadConfig) -> np.ndarray:
     return np.unique(np.concatenate([nodes, probes]))
 
 
+def _point_moduli(f: SymbolFamily, ts, xi: complex) -> np.ndarray:
+    """|g_t(xi)| for every t in ``ts``, in one kernel call."""
+    vals = eval_symbol(f, ts, xi)
+    # hypot rounds as Python's abs(complex) does; np.abs may not.
+    return np.hypot(vals.real, vals.imag)
+
+
 def i1_i2_residuals(
     f: SymbolFamily,
     space: SpaceSpec,
@@ -341,19 +348,20 @@ def i1_i2_residuals(
     cache = dict(sup_cache) if sup_cache else {}
 
     t_grid = _certify_t_grid(q)
-    r2 = -math.inf
+    sups = []
     for t in t_grid:
         res = cache.get(float(t))
         if res is None:
             res = sup_norm(frozen_symbol(f, float(t)), q)
-        r2 = max(r2, res.value - abs(eval_symbol(f, float(t), xi)))
+        sups.append(res.value)
+    r2 = float(np.max(np.asarray(sups) - _point_moduli(f, t_grid, xi)))
 
     atol = max(q.tol * 1e-1, 1e-12)
     i_abs = integrate_adaptive_01(
-        lambda t: abs(eval_symbol(f, t, xi)), base_n=16, atol=atol
+        lambda ts: _point_moduli(f, ts, xi), base_n=16, atol=atol, vectorized=True
     )
     i_cplx = integrate_adaptive_01(
-        lambda t: eval_symbol(f, t, xi), base_n=16, atol=atol
+        lambda ts: eval_symbol(f, ts, xi), base_n=16, atol=atol, vectorized=True
     )
     if not (i_abs.converged and i_cplx.converged):
         raise QuadratureError("t-integration of the point values did not converge")
@@ -421,8 +429,7 @@ def certify_equality(
     candidates: list[CertCandidate] = []
     for xi in survivors:
         theta = complex(1.0)
-        for t in t_grid:
-            val = eval_symbol(f, float(t), xi)
+        for val in eval_symbol(f, t_grid, xi).tolist():
             if abs(val) > tol:
                 theta = val.conjugate() / abs(val)
                 break

@@ -130,7 +130,10 @@ class RunConfig:
         if "hardy_radii" in quad_raw:
             radii = _numbers(quad_raw["hardy_radii"], "config.quad.hardy_radii")
             quad_kwargs["hardy_radii"] = tuple(radii)
-        quad = QuadConfig(**quad_kwargs)
+        try:
+            quad = QuadConfig(**quad_kwargs)
+        except DomainError as exc:  # its messages start with the field name
+            raise DomainError(f"config.quad.{exc}") from exc
 
         certify_raw = raw.get("certify", {})
         _check_keys(certify_raw, {"tol"}, "config.certify")
@@ -192,7 +195,8 @@ def sweep_gap(template: RunConfig, values=None) -> str:
     """Gap and verdict per swept binding value, as CSV text.
 
     One row per value in input order; a failing value keeps its row with
-    verdict Error and nan numeric fields.
+    verdict Error and nan numeric fields, and its reason (the exception
+    class and message) goes to stderr.
     """
     if template.sweep_binding is None:
         raise DomainError("config.sweep.binding is required for sweeps")
@@ -228,7 +232,12 @@ def sweep_gap(template: RunConfig, values=None) -> str:
                     ]
                 )
             )
-        except OpnormLabError:
+        except OpnormLabError as exc:
+            print(
+                f"sweep: {template.sweep_binding} = {_fmt12(value)}: "
+                f"{type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
             lines.append(",".join([_fmt12(value), "nan", "nan", "nan", "Error"]))
     return "\n".join(lines) + "\n"
 

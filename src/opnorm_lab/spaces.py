@@ -77,6 +77,10 @@ def _default_hardy_radii() -> tuple[float, ...]:
     return tuple(1.0 - 2.0**-k for k in range(1, 31))
 
 
+#: Largest allowed value of each QuadConfig field that sizes memory or work.
+RESOURCE_CAPS = {"n_theta": 1 << 20, "n_radial": 2048, "t_nodes": 512}
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Knobs for every quadrature and refinement loop in the package.
@@ -84,7 +88,8 @@ class QuadConfig:
     hardy_radii is the increasing ladder of circle radii whose means are
     extrapolated to r = 1; the default ladder 1 - 2^-k reaches within 1e-9
     of the boundary so evaluation-functional extremals concentrated near it
-    are still resolved.
+    are still resolved.  The fields that size grids and eigensolves are
+    capped (``RESOURCE_CAPS``); check_wx builds a Gauss rule of 4 * t_nodes.
     """
 
     n_theta: int = 2048
@@ -99,6 +104,9 @@ class QuadConfig:
             raise DomainError("n_theta must be at least 16")
         if self.n_radial < 8:
             raise DomainError("n_radial must be at least 8")
+        for name, cap in RESOURCE_CAPS.items():
+            if getattr(self, name) > cap:
+                raise DomainError(f"{name} must be at most {cap}")
         radii = tuple(float(r) for r in self.hardy_radii)
         object.__setattr__(self, "hardy_radii", radii)
         if not radii:

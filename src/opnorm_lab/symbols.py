@@ -3,8 +3,12 @@
 A symbol family g_t(z) is a small immutable AST over the disk variable z
 and the family parameter t, closed under +, -, *, /, integer powers, exp,
 and finite Blaschke products.  Every node is analytic in z, so any parsed
-symbol is analytic on the open disk by construction.  Evaluation is pure
-and accepts numpy arrays of points, which keeps grid sweeps cheap.
+symbol is analytic on the open disk by construction.  Evaluation is pure.
+On first use each family compiles its AST once into a numpy kernel
+(t, z) -> g_t(z) that accepts arrays of points and broadcasts a t-array
+against them, so grid sweeps and t-integrals cost a few array operations
+per node instead of one tree walk per t; the values are bit for bit those
+of the scalar-t evaluation.
 
 Grammar accepted by :func:`parse_symbol` (whitespace insensitive)::
 
@@ -22,7 +26,9 @@ function of (t, z) afterwards.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +37,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParseError
+from .spaces import _golden_max
 
 __all__ = [
     "Add",
@@ -176,6 +183,11 @@ class SymbolFamily:
     @cached_property
     def uses_t(self) -> bool:
         return _uses_t(self.body)
+
+    @cached_property
+    def kernel(self) -> Callable:
+        """g as a closure (t, z) -> g_t(z), compiled on first evaluation."""
+        return _compile(self.body)
 
     def __call__(self, t, z):
         return eval_symbol(self, t, z)
@@ -505,74 +517,142 @@ def format_symbol(f: SymbolFamily) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
-def _eval(node, t: float, z):
+
+def _mentions_z(node) -> bool:
+    return any(isinstance(n, (VarZ, Blaschke)) for n in _walk(node))
+
+
+def _per_t(fn):
+    """Run ``fn`` once per entry of a t-array, with a Python-complex t."""
+
+    def per_t(t, z):
+        if isinstance(t, np.ndarray):
+            vals = [fn(tk, z) for tk in t.ravel().tolist()]
+            return np.array(vals, dtype=complex).reshape(t.shape)
+        return fn(t, z)
+
+    return per_t
+
+
+def _compile(node, per_t: bool = True):
+    """The closure (t, z) -> value of ``node``, built once per AST.
+
+    It runs the numpy operations of the tree in tree order, so a scalar t
+    (a Python complex) gives the same bits as a walk of the tree would.  A
+    t-array of shape (T, 1) broadcasts against z of shape (1, N).  Python's
+    complex arithmetic rounds ``*``, ``/`` and ``**2`` differently from
+    numpy's array loops, so each z-free subtree that mentions t runs once
+    per t with Python scalars, and only nodes that involve z broadcast.
+    """
+    if per_t and _uses_t(node) and not _mentions_z(node):
+        return _per_t(_compile(node, per_t=False))
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return lambda t, z: value
     if isinstance(node, VarZ):
-        return z
+        return lambda t, z: z
     if isinstance(node, ParamT):
-        return complex(t)
-    if isinstance(node, Add):
-        return _eval(node.left, t, z) + _eval(node.right, t, z)
-    if isinstance(node, Sub):
-        return _eval(node.left, t, z) - _eval(node.right, t, z)
-    if isinstance(node, Mul):
-        return _eval(node.left, t, z) * _eval(node.right, t, z)
+        return lambda t, z: t
+    if type(node) in _BINARY_OPS:
+        op = _BINARY_OPS[type(node)]
+        left, right = _compile(node.left, per_t), _compile(node.right, per_t)
+        return lambda t, z: op(left(t, z), right(t, z))
     if isinstance(node, Div):
-        num = _eval(node.left, t, z)
-        den = _eval(node.right, t, z)
-        if np.any(den == 0):
-            raise EvaluationError("division by zero in symbol evaluation")
-        return num / den
+        num, den = _compile(node.left, per_t), _compile(node.right, per_t)
+
+        def div(t, z):
+            n, d = num(t, z), den(t, z)
+            if np.any(d == 0):
+                raise EvaluationError("division by zero in symbol evaluation")
+            return n / d
+
+        return div
     if isinstance(node, Neg):
-        return -_eval(node.arg, t, z)
+        arg = _compile(node.arg, per_t)
+        return lambda t, z: -arg(t, z)
     if isinstance(node, IntPow):
-        return _eval(node.base, t, z) ** node.power
+        base, power = _compile(node.base, per_t), node.power
+        return lambda t, z: base(t, z) ** power
     if isinstance(node, Exp):
-        return np.exp(_eval(node.arg, t, z))
+        arg = _compile(node.arg, per_t)
+        return lambda t, z: np.exp(arg(t, z))
     if isinstance(node, Blaschke):
-        val = z**node.order if node.order else complex(1.0)
-        for a in node.zeros:
-            den = 1.0 - a.conjugate() * z
-            if np.any(den == 0):
-                raise EvaluationError("Blaschke denominator vanished")
-            val = val * (a.conjugate() / abs(a)) * ((a - z) / den)
-        return val
+        order = node.order
+        factors = tuple((a, a.conjugate(), a.conjugate() / abs(a)) for a in node.zeros)
+
+        def blaschke(t, z):
+            val = z**order if order else complex(1.0)
+            for a, a_conj, unit in factors:
+                den = 1.0 - a_conj * z
+                if (den == 0).any():
+                    raise EvaluationError("Blaschke denominator vanished")
+                val = val * unit * ((a - z) / den)
+            return val
+
+        return blaschke
     raise TypeError(f"not a symbol node: {node!r}")
 
 
 def eval_symbol(f: SymbolFamily, t, z):
-    """Evaluate g_t(z) for t in (0, 1) and |z| <= 1.
+    """Evaluate g_t(z) for t in (0, 1) and |z| <= 1 with the family's kernel.
 
-    ``z`` may be a complex scalar or a numpy array of any shape; the result
-    matches.  Raises :class:`EvaluationError` if a division by zero occurs
-    or any value comes out nonfinite, and :class:`DomainError` for points
-    outside the closed disk or t outside (0, 1) when the family uses t.
+    ``z`` may be a complex scalar or a numpy array of any shape.  ``t`` may
+    be a scalar or an array that broadcasts against ``z``, e.g.
+    ``eval_symbol(f, ts[:, None], zs[None, :])`` gives g_{ts[j]}(zs[k]) at
+    [j, k], bit for bit the value of the scalar-t call.  The result has the
+    broadcast shape, and is a complex number only when both are scalars.
+    Raises :class:`EvaluationError` if a division by zero occurs or any
+    value comes out nonfinite, and :class:`DomainError` for points outside
+    the closed disk or any t outside (0, 1) when the family uses t.
     """
-    scalar = np.ndim(z) == 0
     arr = np.asarray(z, dtype=complex)
     if arr.size:
-        amax = float(np.max(np.abs(arr)))
+        amax = np.abs(arr).max()
         if amax > 1.0 + BOUNDARY_SLACK:
-            raise DomainError(f"|z| = {amax} exceeds the closed unit disk")
-    if f.uses_t:
-        tf = float(t)
-        if not 0.0 < tf < 1.0:
-            raise DomainError(f"family parameter t = {tf} lies outside (0, 1)")
+            raise DomainError(f"|z| = {float(amax)} exceeds the closed unit disk")
+    kernel = f.kernel
+    shape = arr.shape
+    if np.ndim(t) == 0:
+        tc = complex(0.5)
+        if f.uses_t:
+            tf = float(t)
+            if not 0.0 < tf < 1.0:
+                raise DomainError(f"family parameter t = {tf} lies outside (0, 1)")
+            tc = complex(tf)
     else:
-        tf = 0.5
+        tf = np.asarray(t, dtype=float)
+        if f.uses_t:
+            outside = ~((tf > 0.0) & (tf < 1.0))
+            if outside.any():
+                bad = float(tf[outside].flat[0])
+                raise DomainError(f"family parameter t = {bad} lies outside (0, 1)")
+        tc = tf.astype(complex)
+        shape = np.broadcast_shapes(tf.shape, shape)
     try:
         with np.errstate(all="ignore"):
-            val = _eval(f.body, tf, arr)
+            if arr.ndim or isinstance(tc, complex):
+                val = kernel(tc, arr)
+            else:
+                # Operations on a 0-d z return numpy scalars, whose arithmetic
+                # rounds unlike the array loops; keep it, one t at a time.
+                val = _per_t(kernel)(tc, arr)
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero in symbol evaluation") from exc
-    out = np.broadcast_to(np.asarray(val, dtype=complex), arr.shape)
-    if not np.all(np.isfinite(out)):
+    if not shape:
+        val = complex(val)
+        if not cmath.isfinite(val):
+            raise EvaluationError("symbol evaluation produced a nonfinite value")
+        return val
+    if not isinstance(val, np.ndarray) or val.shape != shape:
+        val = np.broadcast_to(np.asarray(val, dtype=complex), shape)
+    elif val is arr:
+        val = arr.view()
+        val.flags.writeable = False
+    if not np.isfinite(val).all():
         raise EvaluationError("symbol evaluation produced a nonfinite value")
-    if scalar:
-        return complex(out[()]) if out.shape == () else complex(out)
-    return out
+    return val
 
 
 def frozen_symbol(f: SymbolFamily, t=None) -> Callable:
@@ -582,12 +662,19 @@ def frozen_symbol(f: SymbolFamily, t=None) -> Callable:
     return lambda z: eval_symbol(f, t, z)
 
 
+#: Most t x z values that :func:`integrate_family_at` asks of the kernel at once.
+_BLOCK_ELEMS = 1 << 13
+
+
 def integrate_family_at(f: SymbolFamily, z, rule) -> complex:
     """Quadrature value of G(z) = integral of g_t(z) dt over (0, 1).
 
     ``rule`` is a (nodes, weights) pair on (0, 1) with weights summing to 1,
     e.g. :func:`opnorm_lab.quadrature.gauss_rule_01`.  A family constant in
-    t returns its pointwise value untouched.
+    t returns its pointwise value untouched.  The kernel evaluates blocks of
+    t-nodes against all of z, at most 2^13 values per block, and the rows
+    are summed in node order, so G is bit for bit the weighted sum of the
+    scalar-t values.
     """
     nodes, weights = rule
     nodes = np.asarray(nodes, dtype=float)
@@ -598,13 +685,18 @@ def integrate_family_at(f: SymbolFamily, z, rule) -> complex:
         raise DomainError("t-quadrature rule must be open on (0, 1)")
     if not f.uses_t:
         return eval_symbol(f, None, z)
-    scalar = np.ndim(z) == 0
     arr = np.asarray(z, dtype=complex)
+    # Rows of t against one flat row of z; a 0-d z stays 0-d.
+    t_col, z_row = (nodes[:, None], arr.reshape(1, -1)) if arr.ndim else (nodes, arr)
+    step = max(1, _BLOCK_ELEMS // max(arr.size, 1))
     acc = np.zeros(arr.shape, dtype=complex)
-    for tj, wj in zip(nodes, weights):
-        acc = acc + wj * eval_symbol(f, float(tj), arr)
-    if scalar:
-        return complex(acc[()])
+    for start in range(0, nodes.size, step):
+        block = eval_symbol(f, t_col[start : start + step], z_row)
+        block = block.reshape(-1, *arr.shape)
+        for wj, row in zip(weights[start : start + step], block):
+            acc = acc + wj * row
+    if arr.ndim == 0:
+        return complex(acc)
     return acc
 
 
@@ -612,16 +704,41 @@ def integrate_family_at(f: SymbolFamily, z, rule) -> complex:
 # Boundary continuity
 
 
+def _refined_boundary_min(den, ts, mod) -> float:
+    """Smallest |den| on the circle near the grid local minima of ``mod``.
+
+    ``mod`` holds |den| on an equispaced boundary grid, one row per entry of
+    ``ts``.  Each local minimum is refined by golden section within one
+    grid cell on either side, so a zero between grid points shows up.
+    """
+    left, right = np.roll(mod, 1, axis=1), np.roll(mod, -1, axis=1)
+    rows, cols = np.nonzero((mod < left) & (mod <= right))
+    if not rows.size:
+        return math.inf
+    cell = 2.0 * math.pi / mod.shape[1]
+    thetas = cell * cols
+    t_rows = ts[rows]
+
+    def neg_mod(theta):
+        return -np.abs(np.broadcast_to(den(t_rows, np.exp(1j * theta)), theta.shape))
+
+    _, value, _ = _golden_max(neg_mod, thetas - cell, thetas + cell, 40)
+    return float(np.min(-value))
+
+
 def is_boundary_continuous(f: SymbolFamily, denominator_floor: float = 1e-8) -> bool:
     """True when the AST provably defines a boundary-continuous symbol.
 
     Every node except Div preserves continuity on the closed disk.  Each Div
     denominator is screened for zeros on a boundary plus interior grid (and
-    across a probe grid of t values for t-dependent denominators), and the
-    whole symbol must respect the maximum principle on the same grid, which
-    catches poles the rings straddle.  Negative integer powers never occur
-    in parsed ASTs but fail the check if built by hand.  Returns False
-    whenever continuity is not provable.
+    across a probe grid of t values for t-dependent denominators, all in one
+    kernel call); every boundary-grid local minimum of its modulus is then
+    refined by golden section within one grid cell, which catches a zero on
+    the circle between grid points.  The whole symbol must respect the
+    maximum principle on the same grid, which catches poles the rings
+    straddle.  Negative integer powers never occur in parsed ASTs but fail
+    the check if built by hand.  Returns False whenever continuity is not
+    provable.
     """
     for node in _walk(f.body):
         if isinstance(node, IntPow) and node.power < 0:
@@ -629,32 +746,30 @@ def is_boundary_continuous(f: SymbolFamily, denominator_floor: float = 1e-8) -> 
     divs = [n for n in _walk(f.body) if isinstance(n, Div)]
     if not divs:
         return True
-    boundary = np.exp(2j * np.pi * np.arange(512) / 512)
+    n_boundary = 512
+    boundary = np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
     angles = np.exp(2j * np.pi * np.arange(128) / 128)
     rings = [r * angles for r in (0.2, 0.4, 0.6, 0.8, 0.9, 0.96, 0.99)]
     interior = np.concatenate([np.array([0.0 + 0.0j]), *rings])
     grid = np.concatenate([boundary, interior])
-    t_probes = np.linspace(1.0 / 32, 31.0 / 32, 16) if f.uses_t else [0.5]
-    for t in t_probes:
-        for div in divs:
-            try:
-                with np.errstate(all="ignore"):
-                    vals = np.asarray(_eval(div.right, float(t), grid))
-            except (EvaluationError, ZeroDivisionError):
-                return False
-            if not np.all(np.isfinite(vals)):
-                return False
-            if float(np.min(np.abs(vals))) <= denominator_floor:
-                return False
-        try:
-            with np.errstate(all="ignore"):
-                full = np.abs(np.asarray(_eval(f.body, float(t), grid)))
-        except (EvaluationError, ZeroDivisionError):
-            return False
-        if not np.all(np.isfinite(full)):
-            return False
-        boundary_max = float(np.max(full[: len(boundary)]))
-        interior_max = float(np.max(full[len(boundary) :]))
-        if interior_max > boundary_max * (1.0 + 1e-6) + 1e-9:
-            return False
-    return True
+    t_probes = np.linspace(1.0 / 32, 31.0 / 32, 16) if f.uses_t else np.array([0.5])
+    ts = t_probes.astype(complex)[:, None]
+    try:
+        with np.errstate(all="ignore"):
+            for div in divs:
+                den = _compile(div.right)
+                t_den = ts if _uses_t(div.right) else ts[:1]
+                mod = np.abs(np.broadcast_to(den(t_den, grid), (len(t_den), grid.size)))
+                if not np.isfinite(mod).all() or mod.min() <= denominator_floor:
+                    return False
+                low = _refined_boundary_min(den, t_den[:, 0], mod[:, :n_boundary])
+                if not low > denominator_floor:
+                    return False
+            full = np.abs(np.broadcast_to(f.kernel(ts, grid), (len(ts), grid.size)))
+    except (EvaluationError, ZeroDivisionError):
+        return False
+    if not np.isfinite(full).all():
+        return False
+    boundary_max = full[:, :n_boundary].max(axis=1)
+    interior_max = full[:, n_boundary:].max(axis=1)
+    return not (interior_max > boundary_max * (1.0 + 1e-6) + 1e-9).any()

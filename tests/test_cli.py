@@ -110,6 +110,7 @@ def test_nested_unknown_field_rejected(tmp_path, capsys):
         {"t": True},
         {"t": "0.5"},
         {"quad": {"n_theta": 2048.9}},
+        {"quad": {"n_theta": 1000000000000}},
     ],
 )
 def test_mistyped_config_is_domain_error(tmp_path, capsys, extra):
@@ -139,6 +140,12 @@ def test_noncontinuous_symbol_is_domain_error_for_gap(tmp_path, capsys):
     assert "boundary-continuous" in capsys.readouterr().err
 
 
+def test_boundary_pole_between_grid_points_is_domain_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"symbol": "1/(1 - exp(i*pi/1536)*z)"})
+    assert run_cli(["supnorm", "--config", str(cfg)]) == 1
+    assert "boundary-continuous" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path):
     cfg = _write_config(tmp_path, {**BASE, "t": 0.5})
     out = tmp_path / "report.json"
@@ -161,7 +168,7 @@ def test_selftest_runs_clean(capsys, schema):
     assert payload["passed"] is True
 
 
-def test_sweep_csv_shape_and_error_rows(tmp_path):
+def test_sweep_csv_shape_and_error_rows(tmp_path, capsys):
     cfg = RunConfig.from_dict(
         {
             "symbol": "1 / (c - z)",
@@ -175,6 +182,12 @@ def test_sweep_csv_shape_and_error_rows(tmp_path):
     assert len(lines) == 3
     assert lines[1].endswith("Error")  # pole inside the disk
     assert lines[2].endswith("EqualityCertified")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "sweep: c = 0.5: DomainError: symbol is not certified boundary-continuous; "
+        "boundary sup norms would be unreliable"
+    ]
 
 
 def test_sweep_requires_binding_in_symbol():

@@ -32,6 +32,15 @@ def test_quad_config_validation():
         ol.QuadConfig(hardy_radii=(0.5, 1.0))
 
 
+@pytest.mark.parametrize(
+    "field,cap", [("n_theta", 2**20), ("n_radial", 2048), ("t_nodes", 512)]
+)
+def test_quad_config_caps_resource_fields(field, cap):
+    assert getattr(ol.QuadConfig(**{field: cap}), field) == cap
+    with pytest.raises(ol.DomainError, match=f"{field} must be at most {cap}"):
+        ol.QuadConfig(**{field: cap + 1})
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
 def test_hardy_norm_of_constant(p, quad):
     assert ol.hardy_norm(const_one, p, quad) == pytest.approx(1.0, abs=1e-10)

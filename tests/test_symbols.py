@@ -217,3 +217,80 @@ def test_family_str_and_uses_t():
     assert fam.uses_t
     assert not ol.parse_symbol("z^2").uses_t
     assert "t" in str(fam)
+
+
+CANONICAL = "(c + t + z) * blaschke([0.5, 0.9]; 0)"
+
+
+def _kernel_families():
+    rng = np.random.default_rng(2)
+    fams = [random_family(rng) for _ in range(50)]
+    fams.append(ol.parse_symbol(CANONICAL, {"c": -0.5}))
+    return fams
+
+
+def test_t_array_matches_stacked_scalar_calls():
+    ts = np.linspace(0.02, 0.98, 17)
+    zs = np.linspace(0.1, 1.0, 29) * np.exp(2j * np.pi * np.arange(29) / 29)
+    for fam in _kernel_families():
+        stacked = np.array([ol.eval_symbol(fam, float(t), zs) for t in ts])
+        assert np.array_equal(ol.eval_symbol(fam, ts[:, None], zs[None, :]), stacked)
+        # A scalar z against a t-array: one value per t.
+        point = complex(zs[7])
+        per_t = np.array([ol.eval_symbol(fam, float(t), point) for t in ts])
+        assert np.array_equal(ol.eval_symbol(fam, ts, point), per_t)
+
+
+def test_integrate_family_at_matches_sequential_reference():
+    nodes, weights = gauss_rule_01(64)
+    zs = np.exp(2j * np.pi * np.arange(300) / 300)
+    for fam in _kernel_families():
+        if not fam.uses_t:
+            continue
+        for z in (zs, complex(zs[5])):
+            ref = np.zeros(np.shape(z), dtype=complex)
+            for tj, wj in zip(nodes, weights):
+                ref = ref + wj * ol.eval_symbol(fam, float(tj), z)
+            got = ol.integrate_family_at(fam, z, (nodes, weights))
+            assert np.array_equal(got, ref)
+
+
+def test_t_array_with_one_value_outside_interval():
+    fam = ol.parse_symbol("t * z")
+    with pytest.raises(ol.DomainError, match="t = 1.5"):
+        ol.eval_symbol(fam, np.array([0.2, 0.5, 1.5])[:, None], np.array([[0.3, 0.4]]))
+
+
+def test_single_zero_denominator_in_an_array():
+    zs = np.array([0.1, 0.5, -0.3j])
+    with pytest.raises(ol.EvaluationError):
+        ol.eval_symbol(ol.parse_symbol("1 / (0.5 - z)"), None, zs)
+    with pytest.raises(ol.EvaluationError):
+        ol.eval_symbol(ol.parse_symbol("z / (t - 0.5)"), np.array([0.25, 0.5, 0.75]), zs)
+
+
+def test_exp_overflow_is_evaluation_error():
+    fam = ol.parse_symbol("exp(900 * t * z)")
+    with pytest.raises(ol.EvaluationError, match="nonfinite"):
+        ol.eval_symbol(fam, np.array([0.1, 0.99])[:, None], np.array([[0.5, 1.0]]))
+
+
+def test_identity_symbol_returns_a_read_only_array():
+    zs = np.array([0.1 + 0.2j, -0.5j])
+    out = ol.eval_symbol(ol.parse_symbol("z"), None, zs)
+    assert np.array_equal(out, zs)
+    assert out is not zs and not out.flags.writeable
+    assert zs.flags.writeable
+
+
+def test_kernel_is_compiled_on_first_evaluation():
+    fam = ol.parse_symbol(CANONICAL, {"c": -0.5})
+    assert "kernel" not in vars(fam)
+    ol.eval_symbol(fam, 0.5, 0.3j)
+    assert "kernel" in vars(fam)
+
+
+def test_boundary_pole_between_grid_points_is_rejected():
+    assert not ol.is_boundary_continuous(ol.parse_symbol("1/(1 - exp(i*pi/1536)*z)"))
+    assert ol.is_boundary_continuous(ol.parse_symbol("1/(2 - z)"))
+    assert ol.is_boundary_continuous(ol.parse_symbol("1/(1 - 0.999*z)"))
