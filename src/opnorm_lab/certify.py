@@ -118,11 +118,12 @@ def check_wx(
         raise DomainError("t_probe must lie inside (0, 1)")
 
     qp = _probe_quad(q)
-    witness = None
-
-    # Condition 1: || g_t - g_{t0} ||_X -> 0 as t -> t0.
     probes: list[Cond1Probe] = []
+    bands: list[Cond2Band] = []
+    estimates: list[tuple[int, float]] = []
+    condition = 1
     try:
+        # Condition 1: || g_t - g_{t0} ||_X -> 0 as t -> t0.
         for t0 in t_probe:
             values = []
             deltas = []
@@ -154,42 +155,17 @@ def check_wx(
                     decreasing=decreasing,
                 )
             )
-    except OpnormLabError as exc:
-        return WxReport(
-            cond1=tuple(probes),
-            cond2=(),
-            cond3=Cond3Integral((), (), False),
-            verdict=VERDICT_INCONCLUSIVE,
-            witness=f"evaluation failed during condition 1: {exc}",
-        )
-    cond1_ok = all(p.decreasing for p in probes)
-    if not cond1_ok and witness is None:
-        bad = next(p for p in probes if not p.decreasing)
-        witness = f"norm continuity not evident at t0 = {bad.t0:.6g}"
 
-    # Condition 2: sup norms bounded on compact subintervals.
-    bands: list[Cond2Band] = []
-    try:
+        # Condition 2: sup norms bounded on compact subintervals.
+        condition = 2
         for eps in _COND2_EPSILONS:
             grid = np.linspace(eps, 1.0 - eps, 33)
             sups = [sup_norm(frozen_symbol(f, t), q).value for t in grid]
             finite = all(math.isfinite(s) for s in sups)
             bands.append(Cond2Band(epsilon=eps, sup_value=float(max(sups)), finite=finite))
-    except OpnormLabError as exc:
-        return WxReport(
-            cond1=tuple(probes),
-            cond2=tuple(bands),
-            cond3=Cond3Integral((), (), False),
-            verdict=VERDICT_INCONCLUSIVE,
-            witness=f"evaluation failed during condition 2: {exc}",
-        )
-    cond2_ok = all(b.finite for b in bands)
-    if not cond2_ok and witness is None:
-        witness = "sup norms not finite on a compact subinterval"
 
-    # Condition 3: the t-integral of the sup norms, at doubled rule sizes.
-    estimates: list[tuple[int, float]] = []
-    try:
+        # Condition 3: the t-integral of the sup norms, at doubled rule sizes.
+        condition = 3
         for n in (q.t_nodes, 2 * q.t_nodes, 4 * q.t_nodes):
             nodes, weights = gauss_rule_01(n)
             vals = [sup_norm(frozen_symbol(f, t), q).value for t in nodes]
@@ -200,8 +176,17 @@ def check_wx(
             cond2=tuple(bands),
             cond3=Cond3Integral(tuple(estimates), (), False),
             verdict=VERDICT_INCONCLUSIVE,
-            witness=f"evaluation failed during condition 3: {exc}",
+            witness=f"evaluation failed during condition {condition}: {exc}",
         )
+
+    witness = None
+    cond1_ok = all(p.decreasing for p in probes)
+    if not cond1_ok:
+        bad = next(p for p in probes if not p.decreasing)
+        witness = f"norm continuity not evident at t0 = {bad.t0:.6g}"
+    cond2_ok = all(b.finite for b in bands)
+    if not cond2_ok and witness is None:
+        witness = "sup norms not finite on a compact subinterval"
     deltas = tuple(
         abs(b[1] - a[1]) for a, b in zip(estimates, estimates[1:])
     )
@@ -315,13 +300,6 @@ def _certify_t_grid(q: QuadConfig) -> np.ndarray:
     return np.unique(np.concatenate([nodes, probes]))
 
 
-def _point_moduli(f: SymbolFamily, ts, xi: complex) -> np.ndarray:
-    """|g_t(xi)| for every t in ``ts``, in one kernel call."""
-    vals = eval_symbol(f, ts, xi)
-    # hypot rounds as Python's abs(complex) does; np.abs may not.
-    return np.hypot(vals.real, vals.imag)
-
-
 def i1_i2_residuals(
     f: SymbolFamily,
     space: SpaceSpec,
@@ -354,15 +332,13 @@ def i1_i2_residuals(
         if res is None:
             res = sup_norm(frozen_symbol(f, float(t)), q)
         sups.append(res.value)
-    r2 = float(np.max(np.asarray(sups) - _point_moduli(f, t_grid, xi)))
+    r2 = float(np.max(np.asarray(sups) - np.abs(eval_symbol(f, t_grid, xi))))
 
     atol = max(q.tol * 1e-1, 1e-12)
     i_abs = integrate_adaptive_01(
-        lambda ts: _point_moduli(f, ts, xi), base_n=16, atol=atol, vectorized=True
+        lambda ts: np.abs(eval_symbol(f, ts, xi)), base_n=16, atol=atol
     )
-    i_cplx = integrate_adaptive_01(
-        lambda ts: eval_symbol(f, ts, xi), base_n=16, atol=atol, vectorized=True
-    )
+    i_cplx = integrate_adaptive_01(lambda ts: eval_symbol(f, ts, xi), base_n=16, atol=atol)
     if not (i_abs.converged and i_cplx.converged):
         raise QuadratureError("t-integration of the point values did not converge")
     r1 = float(i_abs.value) - abs(i_cplx.value)

@@ -154,11 +154,13 @@ def gap_report(f: SymbolFamily, space: SpaceSpec, q: QuadConfig) -> GapReport:
 
     def per_t_sup(t: float) -> float:
         res = sup_norm(frozen_symbol(f, t), q)
-        samples.append(PerTSup(t=float(t), sup=res.value, maximizer=res.maximizer))
+        samples.append(PerTSup(t=t, sup=res.value, maximizer=res.maximizer))
         return res.value
 
     atol = max(q.tol * 1e-1, 1e-12)
-    integral = integrate_adaptive_01(per_t_sup, base_n=8, atol=atol)
+    integral = integrate_adaptive_01(
+        lambda ts: [per_t_sup(t) for t in ts.tolist()], base_n=8, atol=atol
+    )
     if not integral.converged:
         raise QuadratureError(
             "t-integration of the per-t sup norms did not converge "

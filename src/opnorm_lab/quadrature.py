@@ -138,15 +138,15 @@ def integrate_adaptive_01(
     base_n: int = 16,
     atol: float = 1e-9,
     max_depth: int = 24,
-    vectorized: bool = False,
 ) -> AdaptiveIntegral:
     """Adaptive integral of fn over (0, 1) built from open Gauss panels.
 
-    Each panel compares its base rule against the doubled rule and splits
-    while the two disagree by more than the panel's share of ``atol``; the
-    unresolved disagreement at the depth cap is reported in
-    ``refine_delta`` so divergent integrands show up as converged=False
-    rather than a wrong number presented with confidence.
+    ``fn`` maps a panel's array of t to its array of values.  Each panel
+    compares its base rule against the doubled rule and splits while the
+    two disagree by more than the panel's share of ``atol``; the unresolved
+    disagreement at the depth cap is reported in ``refine_delta`` so
+    divergent integrands show up as converged=False rather than a wrong
+    number presented with confidence.
     """
     lo_nodes, lo_w = gauss_rule_01(base_n)
     hi_nodes, hi_w = gauss_rule_01(2 * base_n)
@@ -154,10 +154,7 @@ def integrate_adaptive_01(
 
     def apply_rule(a: float, h: float, nodes, weights):
         ts = a + h * nodes
-        if vectorized:
-            vals = np.asarray(fn(ts))
-        else:
-            vals = np.asarray([fn(float(t)) for t in ts])
+        vals = np.asarray(fn(ts))
         state["evals"] += len(ts)
         return h * (weights @ vals)
 

@@ -7,8 +7,9 @@ symbol is analytic on the open disk by construction.  Evaluation is pure.
 On first use each family compiles its AST once into a numpy kernel
 (t, z) -> g_t(z) that accepts arrays of points and broadcasts a t-array
 against them, so grid sweeps and t-integrals cost a few array operations
-per node instead of one tree walk per t; the values are bit for bit those
-of the scalar-t evaluation.
+per node instead of one tree walk per t.  The kernel only ever sees
+arrays, so every value comes from numpy's array loops and does not depend
+on how many t or z are asked for at once.
 
 Grammar accepted by :func:`parse_symbol` (whitespace insensitive)::
 
@@ -169,10 +170,6 @@ def _walk(node):
             yield from _walk(child)
 
 
-def _uses_t(node) -> bool:
-    return any(isinstance(n, ParamT) for n in _walk(node))
-
-
 @dataclass(frozen=True)
 class SymbolFamily:
     """An analytic symbol family, constant in t unless the AST mentions t."""
@@ -182,7 +179,7 @@ class SymbolFamily:
 
     @cached_property
     def uses_t(self) -> bool:
-        return _uses_t(self.body)
+        return any(isinstance(n, ParamT) for n in _walk(self.body))
 
     @cached_property
     def kernel(self) -> Callable:
@@ -520,34 +517,14 @@ def format_symbol(f: SymbolFamily) -> str:
 _BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _mentions_z(node) -> bool:
-    return any(isinstance(n, (VarZ, Blaschke)) for n in _walk(node))
-
-
-def _per_t(fn):
-    """Run ``fn`` once per entry of a t-array, with a Python-complex t."""
-
-    def per_t(t, z):
-        if isinstance(t, np.ndarray):
-            vals = [fn(tk, z) for tk in t.ravel().tolist()]
-            return np.array(vals, dtype=complex).reshape(t.shape)
-        return fn(t, z)
-
-    return per_t
-
-
-def _compile(node, per_t: bool = True):
+def _compile(node):
     """The closure (t, z) -> value of ``node``, built once per AST.
 
-    It runs the numpy operations of the tree in tree order, so a scalar t
-    (a Python complex) gives the same bits as a walk of the tree would.  A
-    t-array of shape (T, 1) broadcasts against z of shape (1, N).  Python's
-    complex arithmetic rounds ``*``, ``/`` and ``**2`` differently from
-    numpy's array loops, so each z-free subtree that mentions t runs once
-    per t with Python scalars, and only nodes that involve z broadcast.
+    It runs the numpy operations of the tree in tree order on whatever t
+    and z it is given; :func:`eval_symbol`, its only caller, always passes
+    arrays of at least one dimension, so every value comes from numpy's
+    array loops, which round alike at any length and broadcast pattern.
     """
-    if per_t and _uses_t(node) and not _mentions_z(node):
-        return _per_t(_compile(node, per_t=False))
     if isinstance(node, Const):
         value = node.value
         return lambda t, z: value
@@ -557,26 +534,26 @@ def _compile(node, per_t: bool = True):
         return lambda t, z: t
     if type(node) in _BINARY_OPS:
         op = _BINARY_OPS[type(node)]
-        left, right = _compile(node.left, per_t), _compile(node.right, per_t)
+        left, right = _compile(node.left), _compile(node.right)
         return lambda t, z: op(left(t, z), right(t, z))
     if isinstance(node, Div):
-        num, den = _compile(node.left, per_t), _compile(node.right, per_t)
+        num, den = _compile(node.left), _compile(node.right)
 
         def div(t, z):
             n, d = num(t, z), den(t, z)
-            if np.any(d == 0):
+            if not np.asarray(d).all():
                 raise EvaluationError("division by zero in symbol evaluation")
             return n / d
 
         return div
     if isinstance(node, Neg):
-        arg = _compile(node.arg, per_t)
+        arg = _compile(node.arg)
         return lambda t, z: -arg(t, z)
     if isinstance(node, IntPow):
-        base, power = _compile(node.base, per_t), node.power
+        base, power = _compile(node.base), node.power
         return lambda t, z: base(t, z) ** power
     if isinstance(node, Exp):
-        arg = _compile(node.arg, per_t)
+        arg = _compile(node.arg)
         return lambda t, z: np.exp(arg(t, z))
     if isinstance(node, Blaschke):
         order = node.order
@@ -586,7 +563,7 @@ def _compile(node, per_t: bool = True):
             val = z**order if order else complex(1.0)
             for a, a_conj, unit in factors:
                 den = 1.0 - a_conj * z
-                if (den == 0).any():
+                if not den.all():
                     raise EvaluationError("Blaschke denominator vanished")
                 val = val * unit * ((a - z) / den)
             return val
@@ -601,7 +578,10 @@ def eval_symbol(f: SymbolFamily, t, z):
     ``z`` may be a complex scalar or a numpy array of any shape.  ``t`` may
     be a scalar or an array that broadcasts against ``z``, e.g.
     ``eval_symbol(f, ts[:, None], zs[None, :])`` gives g_{ts[j]}(zs[k]) at
-    [j, k], bit for bit the value of the scalar-t call.  The result has the
+    [j, k].  The kernel always runs on arrays of at least one dimension (a
+    scalar t becomes a one-element array, a scalar z an array of shape
+    (1,)), so a value is bit for bit the same whether it is asked for
+    alone, in a t-array or at one point of a z-array.  The result has the
     broadcast shape, and is a complex number only when both are scalars.
     Raises :class:`EvaluationError` if a division by zero occurs or any
     value comes out nonfinite, and :class:`DomainError` for points outside
@@ -612,15 +592,14 @@ def eval_symbol(f: SymbolFamily, t, z):
         amax = np.abs(arr).max()
         if amax > 1.0 + BOUNDARY_SLACK:
             raise DomainError(f"|z| = {float(amax)} exceeds the closed unit disk")
-    kernel = f.kernel
     shape = arr.shape
-    if np.ndim(t) == 0:
-        tc = complex(0.5)
+    if t is None or isinstance(t, float) or np.ndim(t) == 0:
+        tf = 0.5
         if f.uses_t:
             tf = float(t)
             if not 0.0 < tf < 1.0:
                 raise DomainError(f"family parameter t = {tf} lies outside (0, 1)")
-            tc = complex(tf)
+        tc = np.array([tf], dtype=complex)
     else:
         tf = np.asarray(t, dtype=float)
         if f.uses_t:
@@ -632,16 +611,11 @@ def eval_symbol(f: SymbolFamily, t, z):
         shape = np.broadcast_shapes(tf.shape, shape)
     try:
         with np.errstate(all="ignore"):
-            if arr.ndim or isinstance(tc, complex):
-                val = kernel(tc, arr)
-            else:
-                # Operations on a 0-d z return numpy scalars, whose arithmetic
-                # rounds unlike the array loops; keep it, one t at a time.
-                val = _per_t(kernel)(tc, arr)
+            val = f.kernel(tc, arr if arr.ndim else arr.reshape(1))
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero in symbol evaluation") from exc
     if not shape:
-        val = complex(val)
+        val = complex(np.ravel(val)[0])
         if not cmath.isfinite(val):
             raise EvaluationError("symbol evaluation produced a nonfinite value")
         return val
@@ -686,12 +660,10 @@ def integrate_family_at(f: SymbolFamily, z, rule) -> complex:
     if not f.uses_t:
         return eval_symbol(f, None, z)
     arr = np.asarray(z, dtype=complex)
-    # Rows of t against one flat row of z; a 0-d z stays 0-d.
-    t_col, z_row = (nodes[:, None], arr.reshape(1, -1)) if arr.ndim else (nodes, arr)
     step = max(1, _BLOCK_ELEMS // max(arr.size, 1))
     acc = np.zeros(arr.shape, dtype=complex)
     for start in range(0, nodes.size, step):
-        block = eval_symbol(f, t_col[start : start + step], z_row)
+        block = eval_symbol(f, nodes[start : start + step, None], arr.reshape(1, -1))
         block = block.reshape(-1, *arr.shape)
         for wj, row in zip(weights[start : start + step], block):
             acc = acc + wj * row
@@ -704,7 +676,7 @@ def integrate_family_at(f: SymbolFamily, z, rule) -> complex:
 # Boundary continuity
 
 
-def _refined_boundary_min(den, ts, mod) -> float:
+def _refined_boundary_min(den: SymbolFamily, ts, mod) -> float:
     """Smallest |den| on the circle near the grid local minima of ``mod``.
 
     ``mod`` holds |den| on an equispaced boundary grid, one row per entry of
@@ -720,25 +692,30 @@ def _refined_boundary_min(den, ts, mod) -> float:
     t_rows = ts[rows]
 
     def neg_mod(theta):
-        return -np.abs(np.broadcast_to(den(t_rows, np.exp(1j * theta)), theta.shape))
+        return -np.abs(eval_symbol(den, t_rows, np.exp(1j * theta)))
 
     _, value, _ = _golden_max(neg_mod, thetas - cell, thetas + cell, 40)
     return float(np.min(-value))
 
 
-def is_boundary_continuous(f: SymbolFamily, denominator_floor: float = 1e-8) -> bool:
+#: Smallest modulus a Div denominator may reach on the continuity grids.
+DENOMINATOR_FLOOR = 1e-8
+
+
+def is_boundary_continuous(f: SymbolFamily) -> bool:
     """True when the AST provably defines a boundary-continuous symbol.
 
     Every node except Div preserves continuity on the closed disk.  Each Div
     denominator is screened for zeros on a boundary plus interior grid (and
     across a probe grid of t values for t-dependent denominators, all in one
-    kernel call); every boundary-grid local minimum of its modulus is then
-    refined by golden section within one grid cell, which catches a zero on
-    the circle between grid points.  The whole symbol must respect the
-    maximum principle on the same grid, which catches poles the rings
-    straddle.  Negative integer powers never occur in parsed ASTs but fail
-    the check if built by hand.  Returns False whenever continuity is not
-    provable.
+    :func:`eval_symbol` call); every boundary-grid local minimum of its
+    modulus is then refined by golden section within one grid cell, which
+    catches a zero on the circle between grid points.  A denominator passes
+    when its modulus stays above ``DENOMINATOR_FLOOR`` throughout.  The
+    whole symbol must respect the maximum principle on the same grid, which
+    catches poles the rings straddle.  Negative integer powers never occur
+    in parsed ASTs but fail the check if built by hand.  Returns False
+    whenever continuity is not provable.
     """
     for node in _walk(f.body):
         if isinstance(node, IntPow) and node.power < 0:
@@ -753,22 +730,16 @@ def is_boundary_continuous(f: SymbolFamily, denominator_floor: float = 1e-8) -> 
     interior = np.concatenate([np.array([0.0 + 0.0j]), *rings])
     grid = np.concatenate([boundary, interior])
     t_probes = np.linspace(1.0 / 32, 31.0 / 32, 16) if f.uses_t else np.array([0.5])
-    ts = t_probes.astype(complex)[:, None]
     try:
-        with np.errstate(all="ignore"):
-            for div in divs:
-                den = _compile(div.right)
-                t_den = ts if _uses_t(div.right) else ts[:1]
-                mod = np.abs(np.broadcast_to(den(t_den, grid), (len(t_den), grid.size)))
-                if not np.isfinite(mod).all() or mod.min() <= denominator_floor:
-                    return False
-                low = _refined_boundary_min(den, t_den[:, 0], mod[:, :n_boundary])
-                if not low > denominator_floor:
-                    return False
-            full = np.abs(np.broadcast_to(f.kernel(ts, grid), (len(ts), grid.size)))
-    except (EvaluationError, ZeroDivisionError):
-        return False
-    if not np.isfinite(full).all():
+        for div in divs:
+            den = SymbolFamily(div.right)
+            t_den = t_probes if den.uses_t else t_probes[:1]
+            mod = np.abs(eval_symbol(den, t_den[:, None], grid))
+            low = min(mod.min(), _refined_boundary_min(den, t_den, mod[:, :n_boundary]))
+            if not low > DENOMINATOR_FLOOR:
+                return False
+        full = np.abs(eval_symbol(f, t_probes[:, None], grid))
+    except EvaluationError:
         return False
     boundary_max = full[:, :n_boundary].max(axis=1)
     interior_max = full[:, n_boundary:].max(axis=1)

@@ -47,6 +47,21 @@ def test_check_wx_probe_validation(quad):
         ol.check_wx(fam, HARDY2, quad, t_probe=np.linspace(0.0, 0.9, 10))
 
 
+@pytest.mark.parametrize("condition", [2, 3])
+def test_check_wx_evaluation_failure_names_its_condition(condition):
+    # The pole t = c sits on the condition-2 grid (c = 0.5) or only on the
+    # 32-node condition-3 rule, and on no condition-1 probe.
+    c = 0.5 if condition == 2 else float(ol.gauss_rule_01(32)[0][10])
+    fam = ol.parse_symbol("z / (t - c)", {"c": c})
+    rep = ol.check_wx(fam, HARDY2, ol.QuadConfig(n_theta=256, t_nodes=16, tol=1e-6))
+    assert rep.verdict == "Inconclusive"
+    assert rep.witness.startswith(f"evaluation failed during condition {condition}: ")
+    assert len(rep.cond1) == 8 and all(p.values for p in rep.cond1)
+    assert len(rep.cond2) == 2 * (condition - 2)
+    assert len(rep.cond3.estimates) == condition - 2
+    assert rep.cond3.deltas == () and not rep.cond3.diverging
+
+
 def test_argmax_set_positive_coefficient(quad):
     # A shift c + t of 1e-7 or 1e-9 leaves |g| flat to 1e-9 on a partial arc
     # around the maximizer, which is then only pinned down to one grid cell.

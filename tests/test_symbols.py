@@ -239,6 +239,10 @@ def test_t_array_matches_stacked_scalar_calls():
         point = complex(zs[7])
         per_t = np.array([ol.eval_symbol(fam, float(t), point) for t in ts])
         assert np.array_equal(ol.eval_symbol(fam, ts, point), per_t)
+        # Each point alone: the value it has inside the array.
+        for t in ts[::4]:
+            alone = np.array([ol.eval_symbol(fam, float(t), complex(zk)) for zk in zs])
+            assert np.array_equal(alone, ol.eval_symbol(fam, float(t), zs))
 
 
 def test_integrate_family_at_matches_sequential_reference():
