@@ -16,11 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, OpnormLabError, QuadratureError
+from .operators import gap_report
 from .quadrature import gauss_rule_01, integrate_adaptive_01
 from .spaces import QuadConfig, SpaceSpec, SupNormResult, space_norm, sup_norm
 from .symbols import SymbolFamily, eval_symbol, frozen_symbol, is_boundary_continuous
@@ -234,6 +235,14 @@ def _angular_distance(a: complex, b: complex) -> float:
     return abs(cmath.phase(a * b.conjugate()))
 
 
+def _phase_from(z: complex, spacing: float) -> float:
+    """Phase of z in [0, 2 pi), counted from half a grid cell below 0.
+
+    A point a hair below theta = 0 thus sorts first, next to 0, not last.
+    """
+    return (cmath.phase(z) + 0.5 * spacing) % _TWO_PI
+
+
 def _boundary_argmax(sres: SupNormResult, q: QuadConfig, band: float) -> BoundaryArgmax:
     """The maximizer and the (at most 64) best peaks of ``sres`` within ``band``."""
     if sres.value < max(q.tol, 1e-12) or (sres.plateau and sres.residual >= 0.9 * _TWO_PI):
@@ -249,7 +258,7 @@ def _boundary_argmax(sres: SupNormResult, q: QuadConfig, band: float) -> Boundar
     for _, z in points:
         if all(_angular_distance(z, other) > spacing for other in kept):
             kept.append(z)
-    kept.sort(key=lambda z: cmath.phase(z) % _TWO_PI)
+    kept.sort(key=lambda z: _phase_from(z, spacing))
     return BoundaryArgmax(tuple(kept))
 
 
@@ -294,6 +303,27 @@ class CertificateReport:
     notes: tuple[str, ...] = ()
 
 
+#: Residual sums this close (relative to max(1, sum)) count as tied.
+_SUM_TIE = 1e-12
+
+
+def _ranked(candidates: list[CertCandidate], spacing: float) -> list[CertCandidate]:
+    """Candidates by i1 + i2 residual sum, tied sums in order of xi's phase.
+
+    Near-symmetric candidates have sums that differ in the last bits, so a
+    plain sort would let any rounding change swap them.
+    """
+    groups: list[tuple[float, list[CertCandidate]]] = []
+    for c in sorted(candidates, key=lambda c: c.i1_residual + c.i2_residual):
+        total = c.i1_residual + c.i2_residual
+        if groups and total - groups[-1][0] <= _SUM_TIE * max(1.0, abs(groups[-1][0])):
+            groups[-1][1].append(c)
+        else:
+            groups.append((total, [c]))
+    by_phase = lambda c: _phase_from(c.xi, spacing)
+    return [c for _, tied in groups for c in sorted(tied, key=by_phase)]
+
+
 def _certify_t_grid(q: QuadConfig) -> np.ndarray:
     nodes, _ = gauss_rule_01(q.t_nodes)
     probes = (np.arange(16) + 0.5) / 16
@@ -305,7 +335,7 @@ def i1_i2_residuals(
     space: SpaceSpec,
     xi: complex,
     q: QuadConfig,
-    sup_cache: Mapping[float, SupNormResult] | None = None,
+    sups: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Residuals of the two equality conditions at a boundary point xi.
 
@@ -315,7 +345,9 @@ def i1_i2_residuals(
     mass in xi is an equality.
 
     r2 (maximum attainment): max over the t grid of ||g_t||_inf - |g_t(xi)|;
-    zero exactly when xi maximizes every |g_t|.
+    zero exactly when xi maximizes every |g_t|.  ``sups`` may hand in the
+    grid's sup norms, one per t of ``_certify_t_grid(q)`` in its order;
+    without it they are computed here.
 
     Both are nonnegative up to quadrature tolerance.
     """
@@ -323,15 +355,12 @@ def i1_i2_residuals(
     if abs(axi - 1.0) > 1e-6:
         raise DomainError("xi must lie on the unit circle")
     xi = complex(xi / axi)
-    cache = dict(sup_cache) if sup_cache else {}
 
     t_grid = _certify_t_grid(q)
-    sups = []
-    for t in t_grid:
-        res = cache.get(float(t))
-        if res is None:
-            res = sup_norm(frozen_symbol(f, float(t)), q)
-        sups.append(res.value)
+    if sups is None:
+        sups = [sup_norm(frozen_symbol(f, t), q).value for t in t_grid.tolist()]
+    elif len(sups) != t_grid.size:
+        raise DomainError(f"sups holds {len(sups)} values for {t_grid.size} grid points")
     r2 = float(np.max(np.asarray(sups) - np.abs(eval_symbol(f, t_grid, xi))))
 
     atol = max(q.tol * 1e-1, 1e-12)
@@ -362,8 +391,6 @@ def certify_equality(
     positive gap and no passing candidate; everything else, including an
     empty candidate set with a small gap, is Inconclusive.
     """
-    from .operators import gap_report
-
     if not space.reflexive:
         raise DomainError("certification requires p > 1")
     notes: list[str] = []
@@ -379,11 +406,12 @@ def certify_equality(
     band = max(100.0 * q.tol, tol)
     merge_radius = _TWO_PI / q.n_theta
     t_grid = _certify_t_grid(q)
-    sup_cache: dict[float, SupNormResult] = {}
+    sups: list[float] = []
 
     survivors: list[complex] | None = None
-    for t in t_grid:
-        sup_cache[float(t)] = sres = sup_norm(frozen_symbol(f, float(t)), q)
+    for t in t_grid.tolist():
+        sres = sup_norm(frozen_symbol(f, t), q)
+        sups.append(sres.value)
         box = _boundary_argmax(sres, q, band)
         if box.full_circle:
             continue
@@ -409,11 +437,11 @@ def certify_equality(
             if abs(val) > tol:
                 theta = val.conjugate() / abs(val)
                 break
-        r1, r2 = i1_i2_residuals(f, space, xi, q, sup_cache=sup_cache)
+        r1, r2 = i1_i2_residuals(f, space, xi, q, sups=sups)
         candidates.append(
             CertCandidate(xi=xi, theta=theta, i2_residual=r2, i1_residual=r1)
         )
-    candidates.sort(key=lambda c: (c.i1_residual + c.i2_residual, c.xi.real, c.xi.imag))
+    candidates = _ranked(candidates, merge_radius)
 
     if gap_value is None:
         gap_value = gap_report(f, space, q).gap

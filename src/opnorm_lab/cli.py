@@ -18,6 +18,7 @@ from .certify import certify_equality, check_wx
 from .errors import DomainError, OpnormLabError
 from .operators import gap_report, mult_operator_norm
 from .reports import emit_report, space_payload
+from .selftest import run_selftest
 from .spaces import QuadConfig, SpaceSpec, space_norm, sup_norm
 from .symbols import SymbolFamily, frozen_symbol, is_boundary_continuous, parse_symbol, symbol_names
 
@@ -96,8 +97,9 @@ class RunConfig:
         if "symbol" not in raw or not isinstance(raw["symbol"], str):
             raise DomainError("config.symbol must be a string")
         bindings = raw.get("bindings", {})
-        if not isinstance(bindings, dict) or not all(map(_is_real, bindings.values())):
+        if not isinstance(bindings, dict):
             raise DomainError("config.bindings must map names to real numbers")
+        bindings = {k: _number(v, f"config.bindings.{k}") for k, v in bindings.items()}
 
         space_raw = raw.get("space", {"kind": "hardy", "p": 2.0})
         _check_keys(space_raw, {"kind", "p", "alpha"}, "config.space")
@@ -118,11 +120,11 @@ class RunConfig:
         quad_raw = raw.get("quad", {})
         _check_keys(
             quad_raw,
-            {"n_theta", "n_radial", "hardy_radii", "t_nodes", "sup_refine_iters", "tol"},
+            {"n_theta", "n_radial", "hardy_radii", "t_nodes", "tol"},
             "config.quad",
         )
         quad_kwargs = {}
-        for key in ("n_theta", "n_radial", "t_nodes", "sup_refine_iters"):
+        for key in ("n_theta", "n_radial", "t_nodes"):
             if key in quad_raw:
                 quad_kwargs[key] = _number(quad_raw[key], f"config.quad.{key}", int)
         if "tol" in quad_raw:
@@ -159,7 +161,7 @@ class RunConfig:
 
         return cls(
             symbol=raw["symbol"],
-            bindings=dict(bindings),
+            bindings=bindings,
             space=space,
             quad=quad,
             t=t_val,
@@ -334,8 +336,6 @@ def run_cli(argv) -> int:
 
     try:
         if args.command == "selftest":
-            from .selftest import run_selftest
-
             payload, passed = run_selftest()
             _deliver(emit_report(payload), args.out)
             return 0 if passed else 1

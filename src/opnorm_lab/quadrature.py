@@ -1,4 +1,4 @@
-"""Quadrature rules on (0, 1), circle means, and adaptive integration.
+"""Rules on (0, 1), circle means, adaptive integration and golden section.
 
 All rules here are open (no endpoint nodes), which matters because the
 integrands fed to them may blow up or lose meaning at t = 0, 1.
@@ -51,6 +51,46 @@ def jacobi_rule_01(n: int, alpha: float):
     return s, ws
 
 
+#: Golden-section steps for the sup norm's maxima and the continuity screen's minima.
+SUP_REFINE_STEPS = 32
+CONTINUITY_REFINE_STEPS = 40
+#: The largest angular grid of a circle mean, and the most values asked of f at once.
+CIRCLE_MAX_NODES = 1 << 18
+CIRCLE_BLOCK_ELEMS = 1 << 21
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn, a, b, iters: int):
+    """Vectorized golden-section maximization on brackets [a_i, b_i].
+
+    Returns (argmax, value, width) arrays.  One new evaluation per bracket
+    per iteration.
+    """
+    a = np.asarray(a, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1 = fn(x1)
+    f2 = fn(x2)
+    for _ in range(iters):
+        keep_left = f1 > f2
+        a2 = np.where(keep_left, a, x1)
+        b2 = np.where(keep_left, x2, b)
+        x1n = np.where(keep_left, b2 - _INVPHI * (b2 - a2), x2)
+        x2n = np.where(keep_left, x1, a2 + _INVPHI * (b2 - a2))
+        fresh = fn(np.where(keep_left, x1n, x2n))
+        f1n = np.where(keep_left, fresh, f2)
+        f2n = np.where(keep_left, f1, fresh)
+        a, b, x1, x2, f1, f2 = a2, b2, x1n, x2n, f1n, f2n
+        if float(np.max(b - a)) < 1e-15:
+            break
+    best_left = f1 >= f2
+    theta = np.where(best_left, x1, x2)
+    value = np.maximum(f1, f2)
+    return theta, value, b - a
+
+
 def circle_grid(n: int) -> np.ndarray:
     """n equispaced points on the unit circle starting at 1."""
     return np.exp(2j * np.pi * np.arange(n) / n)
@@ -62,8 +102,6 @@ def circle_mean_abs_pow(
     p: float,
     n0: int = 1024,
     rtol: float = 1e-11,
-    n_max: int = 1 << 18,
-    max_elems: int = 1 << 21,
 ):
     """Mean over the circle of |f(r e^{i theta})|^p for each radius r.
 
@@ -80,7 +118,7 @@ def circle_mean_abs_pow(
     def grid_means(rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         out = np.empty(len(rs))
         ring = np.exp(1j * thetas)
-        step = max(1, max_elems // max(len(thetas), 1))
+        step = max(1, CIRCLE_BLOCK_ELEMS // max(len(thetas), 1))
         for i in range(0, len(rs), step):
             block = rs[i : i + step, None] * ring[None, :]
             vals = np.abs(np.asarray(f(block)))
@@ -92,9 +130,9 @@ def circle_mean_abs_pow(
     active = np.ones(len(radii), dtype=bool)
     tiny = np.finfo(float).tiny
     while active.any():
-        if 2 * n > n_max:
+        if 2 * n > CIRCLE_MAX_NODES:
             raise QuadratureError(
-                f"circle means did not settle below {n_max} angular nodes"
+                f"circle means did not settle below {CIRCLE_MAX_NODES} angular nodes"
             )
         offsets = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         shifted = grid_means(radii[active], offsets)

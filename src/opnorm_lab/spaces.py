@@ -11,7 +11,6 @@ bounded rather than continuous up to the boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +18,8 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, QuadratureError
 from .quadrature import (
+    SUP_REFINE_STEPS,
+    _golden_max,
     circle_grid,
     circle_mean_abs_pow,
     extrapolate_to_zero,
@@ -40,8 +41,7 @@ __all__ = [
     "sup_norm",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_TWO_PI = 2.0 * math.pi
+_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,20 @@ RESOURCE_CAPS = {"n_theta": 1 << 20, "n_radial": 2048, "t_nodes": 512}
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Knobs for every quadrature and refinement loop in the package.
+    """Grid sizes and the tolerance that every quadrature here reads.
 
     hardy_radii is the increasing ladder of circle radii whose means are
     extrapolated to r = 1; the default ladder 1 - 2^-k reaches within 1e-9
     of the boundary so evaluation-functional extremals concentrated near it
     are still resolved.  The fields that size grids and eigensolves are
     capped (``RESOURCE_CAPS``); check_wx builds a Gauss rule of 4 * t_nodes.
+    Golden-section step counts are constants of :mod:`opnorm_lab.quadrature`.
     """
 
     n_theta: int = 2048
     n_radial: int = 96
     hardy_radii: tuple[float, ...] = _default_hardy_radii()
     t_nodes: int = 64
-    sup_refine_iters: int = 32
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -117,8 +117,6 @@ class QuadConfig:
             raise DomainError("hardy_radii must be strictly increasing")
         if self.t_nodes < 2:
             raise DomainError("t_nodes must be at least 2")
-        if self.sup_refine_iters < 1:
-            raise DomainError("sup_refine_iters must be positive")
         if not self.tol > 0:
             raise DomainError("tol must be positive")
 
@@ -229,36 +227,6 @@ def space_norm(f, space: SpaceSpec, q: QuadConfig) -> float:
 # Boundary sup norm
 
 
-def _golden_max(fn, a, b, iters: int):
-    """Vectorized golden-section maximization on brackets [a_i, b_i].
-
-    Returns (argmax, value, width) arrays.  One new evaluation per bracket
-    per iteration.
-    """
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = fn(x1)
-    f2 = fn(x2)
-    for _ in range(iters):
-        keep_left = f1 > f2
-        a2 = np.where(keep_left, a, x1)
-        b2 = np.where(keep_left, x2, b)
-        x1n = np.where(keep_left, b2 - _INVPHI * (b2 - a2), x2)
-        x2n = np.where(keep_left, x1, a2 + _INVPHI * (b2 - a2))
-        fresh = fn(np.where(keep_left, x1n, x2n))
-        f1n = np.where(keep_left, fresh, f2)
-        f2n = np.where(keep_left, f1, fresh)
-        a, b, x1, x2, f1, f2 = a2, b2, x1n, x2n, f1n, f2n
-        if float(np.max(b - a)) < 1e-15:
-            break
-    best_left = f1 >= f2
-    theta = np.where(best_left, x1, x2)
-    value = np.maximum(f1, f2)
-    return theta, value, b - a
-
-
 def _cyclic_runs(mask: np.ndarray) -> list[np.ndarray]:
     idx = np.flatnonzero(mask)
     if idx.size == 0:
@@ -328,7 +296,7 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
     if js.size:
         fn = lambda th: np.abs(np.asarray(g(np.exp(1j * th))))
         theta_ref, val_ref, widths = _golden_max(
-            fn, thetas[js] - spacing, thetas[js] + spacing, q.sup_refine_iters
+            fn, thetas[js] - spacing, thetas[js] + spacing, SUP_REFINE_STEPS
         )
         at = np.searchsorted(lmax, js)
         peak_vals[at] = val_ref

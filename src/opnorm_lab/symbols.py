@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParseError
-from .spaces import _golden_max
+from .quadrature import CONTINUITY_REFINE_STEPS, _golden_max
 
 __all__ = [
     "Add",
@@ -66,6 +66,11 @@ __all__ = [
 
 #: How far outside the closed disk a point may sit before evaluation refuses.
 BOUNDARY_SLACK = 1e-12
+
+#: Most AST levels, and most nested parentheses, signs and exp calls, that
+#: :func:`parse_symbol` accepts, so the recursions that parse, compile, print
+#: and compare an AST stay far inside Python's recursion limit.
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +167,23 @@ SymbolExpr = Union[
 ]
 
 
+def _children(node) -> list:
+    return [getattr(node, a) for a in ("left", "right", "arg", "base") if hasattr(node, a)]
+
+
 def _walk(node):
     yield node
-    for attr in ("left", "right", "arg", "base"):
-        child = getattr(node, attr, None)
-        if child is not None:
-            yield from _walk(child)
+    for child in _children(node):
+        yield from _walk(child)
+
+
+def _height(node) -> int:
+    """Number of levels of an AST, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [c for n in level for c in _children(n)]
+    return height
 
 
 @dataclass(frozen=True)
@@ -240,6 +256,7 @@ class _Parser:
         self._toks = _tokenize(text)
         self._i = 0
         self._bindings = dict(bindings or {})
+        self._depth = 0
 
     def _peek(self) -> _Token:
         return self._toks[self._i]
@@ -254,6 +271,14 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return tok
+
+    def _nested(self, parse, pos: int) -> SymbolExpr:
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise ParseError(f"symbol nests deeper than {MAX_DEPTH} levels", pos)
+        node = parse()
+        self._depth -= 1
+        return node
 
     def parse(self) -> SymbolExpr:
         node = self._expr()
@@ -310,11 +335,11 @@ class _Parser:
         if tok.kind == "num":
             return Const(float(tok.text))
         if tok.kind == "(":
-            node = self._expr()
+            node = self._nested(self._expr, tok.pos)
             self._expect(")")
             return node
         if tok.kind == "-":
-            inner = self._atom()
+            inner = self._nested(self._atom, tok.pos)
             # Fold signs into literals so printing a negative constant
             # round-trips to the same AST.
             if isinstance(inner, Const):
@@ -336,7 +361,7 @@ class _Parser:
             return Const(math.pi)
         if name == "exp":
             self._expect("(")
-            arg = self._expr()
+            arg = self._nested(self._expr, tok.pos)
             self._expect(")")
             return Exp(arg)
         if name == "blaschke":
@@ -414,9 +439,12 @@ def parse_symbol(text: str, bindings: Mapping[str, float] | None = None) -> Symb
     """Parse symbol text into an immutable :class:`SymbolFamily`.
 
     Named constants are substituted from ``bindings`` while parsing, so the
-    result depends on (t, z) only.
+    result depends on (t, z) only.  Text nesting deeper than ``MAX_DEPTH``
+    levels, or parsing to an AST of more levels, raises :class:`ParseError`.
     """
     body = _Parser(text, bindings or {}).parse()
+    if _height(body) > MAX_DEPTH:
+        raise ParseError(f"symbol nests deeper than {MAX_DEPTH} levels")
     return SymbolFamily(body=body, text=text)
 
 
@@ -596,6 +624,8 @@ def eval_symbol(f: SymbolFamily, t, z):
     if t is None or isinstance(t, float) or np.ndim(t) == 0:
         tf = 0.5
         if f.uses_t:
+            if t is None:
+                raise DomainError("family depends on t; a parameter value is required")
             tf = float(t)
             if not 0.0 < tf < 1.0:
                 raise DomainError(f"family parameter t = {tf} lies outside (0, 1)")
@@ -694,7 +724,7 @@ def _refined_boundary_min(den: SymbolFamily, ts, mod) -> float:
     def neg_mod(theta):
         return -np.abs(eval_symbol(den, t_rows, np.exp(1j * theta)))
 
-    _, value, _ = _golden_max(neg_mod, thetas - cell, thetas + cell, 40)
+    _, value, _ = _golden_max(neg_mod, thetas - cell, thetas + cell, CONTINUITY_REFINE_STEPS)
     return float(np.min(-value))
 
 

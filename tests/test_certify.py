@@ -231,3 +231,47 @@ def test_soundness_coupling(quad):
             assert abs(gap) < 1e-5
         elif rep.verdict == "StrictInequalityEvidence":
             assert gap > 1e-4
+
+
+def _candidate(xi, total):
+    return ol.CertCandidate(xi=xi, theta=1.0 + 0j, i2_residual=total, i1_residual=0.0)
+
+
+def test_candidates_with_tied_sums_are_ordered_by_phase():
+    from opnorm_lab.certify import _ranked
+
+    # Three near-symmetric candidates whose sums differ in the last bits, in
+    # every order of their sums, and one clearly worse candidate.
+    tiny = 1e-8
+    xis = (-1.0 + 0j, complex(math.cos(tiny), -math.sin(tiny)), 1j)
+    sums = (0.25, np.nextafter(0.25, 1.0), np.nextafter(np.nextafter(0.25, 1.0), 1.0))
+    spacing = 2 * np.pi / 512
+    for shift in range(3):
+        cands = [_candidate(xi, sums[(k + shift) % 3]) for k, xi in enumerate(xis)]
+        cands.append(_candidate(-1j, 0.5))
+        ranked = _ranked(cands[::-1], spacing)
+        assert [c.xi for c in ranked] == [xis[1], xis[2], xis[0], -1j]
+
+
+def test_boundary_argmax_sorts_a_point_just_below_zero_first():
+    from opnorm_lab.certify import _boundary_argmax
+
+    q = ol.QuadConfig(n_theta=512)
+    below = complex(math.cos(1e-8), -math.sin(1e-8))
+    sres = ol.SupNormResult(
+        value=2.0, maximizer=below, residual=1e-9, peaks=((2.0, -1.0 + 0j), (2.0, below))
+    )
+    assert _boundary_argmax(sres, q, 0.01).points == (below, -1.0 + 0j)
+
+
+def test_i1_i2_residuals_take_the_grid_sups(quad):
+    from opnorm_lab.certify import _certify_t_grid
+
+    fam = ol.parse_symbol("(c + t + z)", {"c": -0.5})
+    grid = _certify_t_grid(quad).tolist()
+    sups = [ol.sup_norm(ol.frozen_symbol(fam, t), quad).value for t in grid]
+    assert ol.i1_i2_residuals(fam, HARDY2, 1.0 + 0j, quad, sups=sups) == ol.i1_i2_residuals(
+        fam, HARDY2, 1.0 + 0j, quad
+    )
+    with pytest.raises(ol.DomainError, match="sups holds"):
+        ol.i1_i2_residuals(fam, HARDY2, 1.0 + 0j, quad, sups=sups[:-1])

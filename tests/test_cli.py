@@ -3,6 +3,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import opnorm_lab as ol
 from opnorm_lab.cli import RunConfig, run_cli, sweep_gap
@@ -111,6 +113,7 @@ def test_nested_unknown_field_rejected(tmp_path, capsys):
         {"t": "0.5"},
         {"quad": {"n_theta": 2048.9}},
         {"quad": {"n_theta": 1000000000000}},
+        {"bindings": {"c": 10**400}},
     ],
 )
 def test_mistyped_config_is_domain_error(tmp_path, capsys, extra):
@@ -118,6 +121,24 @@ def test_mistyped_config_is_domain_error(tmp_path, capsys, extra):
     assert run_cli(["gap", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config.") and "internal error" not in err
+
+
+def test_sup_refine_iters_is_an_unknown_quad_field(tmp_path, capsys):
+    # The golden-section step count is a constant, no longer a config field.
+    cfg = _write_config(tmp_path, {**BASE, "quad": {"sup_refine_iters": 32}})
+    assert run_cli(["supnorm", "--config", str(cfg)]) == 1
+    assert "unknown config field config.quad.sup_refine_iters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    ["(" * 3000 + "z" + ")" * 3000, "-" * 3000 + "z", "z" + "+z" * 3000, "exp(" * 500 + "z" + ")" * 500],
+    ids=["parentheses", "signs", "sum", "exp"],
+)
+def test_deep_symbol_is_a_parse_error(tmp_path, capsys, symbol):
+    cfg = _write_config(tmp_path, {"symbol": symbol})
+    assert run_cli(["supnorm", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: symbol nests deeper than")
 
 
 def test_malformed_json_rejected(tmp_path, capsys):
@@ -229,3 +250,108 @@ def test_emit_report_significant_digits(quad):
     # 1.8 survives rounding to 12 significant digits
     assert payload["lhs"] == pytest.approx(1.8, abs=1e-11)
     assert len(f"{payload['rhs']:.17g}".replace(".", "").lstrip("0").rstrip("0")) <= 12
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any config that parses as JSON exits 0 or 1, never 2.
+
+_EXTREME = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([0, -1, 0.5, 1e-320, 1e308, 10**400]),
+)
+_MISTYPED = st.one_of(
+    _EXTREME,
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(_EXTREME, max_size=2),
+    st.dictionaries(st.text(max_size=3), _EXTREME, max_size=2),
+)
+_DEEP = st.builds(
+    lambda n, make: make(n),
+    st.one_of(st.integers(min_value=0, max_value=120), st.sampled_from([300, 1000, 3000])),
+    st.sampled_from(
+        [
+            lambda n: "(" * n + "z" + ")" * n,
+            lambda n: "-" * n + "z",
+            lambda n: "z" + "+t*z" * n,
+            lambda n: "exp(" * n + "z" + ")" * n,
+            lambda n: f"z^{n}" + "9" * (n % 40),
+            lambda n: f"1/(1.{n} - c*z)",
+        ]
+    ),
+)
+_SYMBOL = st.one_of(
+    st.sampled_from(["z", "c + t*z", "1e400*z", "exp(1e300*z)", "1/(1 - z)", "blaschke([0.5]; 1)"]),
+    _DEEP,
+    st.text(alphabet="zt+-*/^()[];,.019eicpx ", max_size=24),
+)
+_SMALL_QUAD = st.fixed_dictionaries(
+    {
+        "n_theta": st.sampled_from([16, 32]),
+        "n_radial": st.just(8),
+        "hardy_radii": st.just([0.5, 0.75]),
+        "t_nodes": st.sampled_from([2, 4]),
+        "tol": st.sampled_from([1e-3, 1e-5]),
+    }
+)
+_NUMBER = st.one_of(st.sampled_from([0.3, 0.7]), _EXTREME)
+#: Well-formed configs with a small quad, so most examples reach the numerics.
+_CONFIG = st.fixed_dictionaries(
+    {"symbol": _SYMBOL, "quad": _SMALL_QUAD, "bindings": st.fixed_dictionaries({"c": _NUMBER})},
+    optional={
+        "t": _NUMBER,
+        "space": st.fixed_dictionaries({"kind": st.just("hardy"), "p": _NUMBER}),
+        "certify": st.fixed_dictionaries({"tol": _NUMBER}),
+        "sweep": st.fixed_dictionaries({"binding": st.just("c"), "values": st.lists(_NUMBER, max_size=2)}),
+    },
+)
+_FIELDS = [
+    ("symbol",), ("bindings",), ("bindings", "c"), ("t",), ("space",), ("space", "kind"),
+    ("space", "p"), ("space", "alpha"), ("quad",), ("certify", "tol"), ("sweep",),
+    ("sweep", "values"), ("out",), ("mystery",),
+] + [("quad", key) for key in ("n_theta", "n_radial", "hardy_radii", "t_nodes", "tol", "junk")]
+
+
+def _set(cfg, path, value):
+    """``cfg`` with the field at ``path`` set to ``value``, where the path exists."""
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            return cfg
+    node[path[-1]] = value
+    return cfg
+
+
+#: The same configs with one field, or the whole document, mistyped.
+_MISTYPED_CONFIG = st.one_of(
+    _MISTYPED, st.builds(_set, _CONFIG, st.sampled_from(_FIELDS), _MISTYPED)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=_MISTYPED_CONFIG)
+def test_fuzz_config_fields_raise_only_domain_errors(raw):
+    try:
+        RunConfig.from_dict(raw)
+    except ol.DomainError:
+        pass
+
+
+@settings(
+    max_examples=100,
+    deadline=2000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    raw=_CONFIG,
+    command=st.sampled_from(["supnorm", "opnorm", "norm", "gap", "certify", "wx-check", "sweep"]),
+)
+def test_fuzz_cli_exits_0_or_1(tmp_path, capsys, raw, command):
+    cfg = _write_config(tmp_path, raw)
+    code = run_cli([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "internal error" not in err, err

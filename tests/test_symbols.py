@@ -90,6 +90,35 @@ def test_eval_rejects_t_outside_interval():
         ol.eval_symbol(fam, 1.5, 0.3)
 
 
+def test_eval_without_t_on_t_dependent_family_is_domain_error():
+    fam = ol.parse_symbol("t * z")
+    for z in (0.3 + 0j, np.array([0.3, -0.2j])):
+        with pytest.raises(ol.DomainError, match="depends on t"):
+            ol.eval_symbol(fam, None, z)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: "(" * n + "z" + ")" * n,
+        lambda n: "-" * (n - 1) + "z",
+        lambda n: "z" + "+z" * (n - 1),
+        lambda n: "exp(" * (n - 1) + "z" + ")" * (n - 1),
+    ],
+    ids=["parentheses", "signs", "sum", "exp"],
+)
+def test_parse_depth_limit(make):
+    limit = ol.symbols.MAX_DEPTH
+    fam = ol.parse_symbol(make(limit))
+    assert ol.format_symbol(ol.parse_symbol(ol.format_symbol(fam))) == ol.format_symbol(fam)
+    try:
+        ol.eval_symbol(fam, None, np.array([0.5, -0.5j]))
+    except ol.EvaluationError:  # exp(exp(...)) overflows; it must not recurse too deep
+        pass
+    with pytest.raises(ol.ParseError, match="nests deeper than"):
+        ol.parse_symbol(make(limit + 1))
+
+
 def test_eval_division_by_zero():
     fam = ol.parse_symbol("1 / (1 - z)")
     with pytest.raises(ol.EvaluationError):
