@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, OpnormLabError, QuadratureError
 from .operators import gap_report
 from .quadrature import gauss_rule_01, integrate_adaptive_01
-from .spaces import QuadConfig, SpaceSpec, SupNormResult, space_norm, sup_norm
+from .spaces import QuadConfig, SpaceSpec, SupNormResult, _t_atol, space_norm, sup_norm
 from .symbols import SymbolFamily, eval_symbol, frozen_symbol, is_boundary_continuous
 
 __all__ = [
@@ -245,7 +245,7 @@ def _phase_from(z: complex, spacing: float) -> float:
 
 def _boundary_argmax(sres: SupNormResult, q: QuadConfig, band: float) -> BoundaryArgmax:
     """The maximizer and the (at most 64) best peaks of ``sres`` within ``band``."""
-    if sres.value < max(q.tol, 1e-12) or (sres.plateau and sres.residual >= 0.9 * _TWO_PI):
+    if sres.value < max(q.tol, 1e-12) or sres.plateau:
         return BoundaryArgmax((), full_circle=True)
 
     near = [pair for pair in sres.peaks if pair[0] >= sres.value - band]
@@ -301,6 +301,12 @@ class CertificateReport:
     gap_crosscheck: float | None
     residual_tol: float
     notes: tuple[str, ...] = ()
+
+
+def _gap_bands(tol: float) -> tuple[float, float]:
+    """The |gap| below which a passing candidate certifies equality, and the
+    gap above which no passing candidate is evidence of strict inequality."""
+    return 10.0 * tol, 100.0 * tol
 
 
 #: Residual sums this close (relative to max(1, sum)) count as tied.
@@ -363,7 +369,7 @@ def i1_i2_residuals(
         raise DomainError(f"sups holds {len(sups)} values for {t_grid.size} grid points")
     r2 = float(np.max(np.asarray(sups) - np.abs(eval_symbol(f, t_grid, xi))))
 
-    atol = max(q.tol * 1e-1, 1e-12)
+    atol = _t_atol(q)
     i_abs = integrate_adaptive_01(
         lambda ts: np.abs(eval_symbol(f, ts, xi)), base_n=16, atol=atol
     )
@@ -448,9 +454,10 @@ def certify_equality(
     passing = [
         c for c in candidates if c.i1_residual < tol and c.i2_residual < tol
     ]
-    if passing and abs(gap_value) < 10.0 * tol:
+    equality_band, strict_band = _gap_bands(tol)
+    if passing and abs(gap_value) < equality_band:
         verdict = VERDICT_EQUAL
-    elif not passing and gap_value > 100.0 * tol:
+    elif not passing and gap_value > strict_band:
         verdict = VERDICT_STRICT
     else:
         verdict = VERDICT_INCONCLUSIVE

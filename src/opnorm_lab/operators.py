@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .quadrature import gauss_rule_01, integrate_adaptive_01
-from .spaces import QuadConfig, SpaceSpec, sup_norm
+from .spaces import QuadConfig, SpaceSpec, _t_atol, sup_norm
 from .symbols import SymbolFamily, frozen_symbol, integrate_family_at
 
 __all__ = [
@@ -89,8 +89,6 @@ def mult_operator_norm(g, space: SpaceSpec, q: QuadConfig) -> float:
     to be trustworthy; symbol families should be screened with
     :func:`opnorm_lab.symbols.is_boundary_continuous` first.
     """
-    if not space.p > 0:
-        raise DomainError("p must be positive")
     return sup_norm(g, q).value
 
 
@@ -157,9 +155,8 @@ def gap_report(f: SymbolFamily, space: SpaceSpec, q: QuadConfig) -> GapReport:
         samples.append(PerTSup(t=t, sup=res.value, maximizer=res.maximizer))
         return res.value
 
-    atol = max(q.tol * 1e-1, 1e-12)
     integral = integrate_adaptive_01(
-        lambda ts: [per_t_sup(t) for t in ts.tolist()], base_n=8, atol=atol
+        lambda ts: [per_t_sup(t) for t in ts.tolist()], base_n=8, atol=_t_atol(q)
     )
     if not integral.converged:
         raise QuadratureError(

@@ -18,7 +18,6 @@ __all__ = [
     "AdaptiveIntegral",
     "circle_grid",
     "circle_mean_abs_pow",
-    "extrapolate_to_zero",
     "gauss_rule_01",
     "integrate_adaptive_01",
     "jacobi_rule_01",
@@ -57,6 +56,8 @@ CONTINUITY_REFINE_STEPS = 40
 #: The largest angular grid of a circle mean, and the most values asked of f at once.
 CIRCLE_MAX_NODES = 1 << 18
 CIRCLE_BLOCK_ELEMS = 1 << 21
+#: Panel halvings before an adaptive integral reports its disagreement as unresolved.
+ADAPTIVE_MAX_DEPTH = 24
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -146,23 +147,6 @@ def circle_mean_abs_pow(
     return cur
 
 
-def extrapolate_to_zero(xs, ys, npts: int = 8) -> float:
-    """Neville extrapolation of samples (x_i, y_i) to x = 0.
-
-    Uses the last ``npts`` samples; with geometrically decreasing x_i this
-    is the classical Richardson limit of the sequence.
-    """
-    xs = np.asarray(xs, dtype=float)[-npts:]
-    tbl = np.asarray(ys, dtype=float)[-npts:].copy()
-    m = len(tbl)
-    if m == 1:
-        return float(tbl[0])
-    for j in range(1, m):
-        for i in range(m - j):
-            tbl[i] = (xs[i] * tbl[i + 1] - xs[i + j] * tbl[i]) / (xs[i] - xs[i + j])
-    return float(tbl[0])
-
-
 @dataclass(frozen=True)
 class AdaptiveIntegral:
     value: complex
@@ -171,20 +155,15 @@ class AdaptiveIntegral:
     n_evals: int
 
 
-def integrate_adaptive_01(
-    fn,
-    base_n: int = 16,
-    atol: float = 1e-9,
-    max_depth: int = 24,
-) -> AdaptiveIntegral:
+def integrate_adaptive_01(fn, base_n: int = 16, atol: float = 1e-9) -> AdaptiveIntegral:
     """Adaptive integral of fn over (0, 1) built from open Gauss panels.
 
     ``fn`` maps a panel's array of t to its array of values.  Each panel
     compares its base rule against the doubled rule and splits while the
     two disagree by more than the panel's share of ``atol``; the unresolved
-    disagreement at the depth cap is reported in ``refine_delta`` so
-    divergent integrands show up as converged=False rather than a wrong
-    number presented with confidence.
+    disagreement at the depth cap ``ADAPTIVE_MAX_DEPTH`` is reported in
+    ``refine_delta`` so divergent integrands show up as converged=False
+    rather than a wrong number presented with confidence.
     """
     lo_nodes, lo_w = gauss_rule_01(base_n)
     hi_nodes, hi_w = gauss_rule_01(2 * base_n)
@@ -202,7 +181,7 @@ def integrate_adaptive_01(
         delta = abs(fine - coarse)
         if delta <= atol * h + 1e-14 * abs(fine):
             return fine, 0.0
-        if depth >= max_depth:
+        if depth >= ADAPTIVE_MAX_DEPTH:
             return fine, delta
         left_val, left_d = panel(a, h / 2, depth + 1)
         right_val, right_d = panel(a + h / 2, h / 2, depth + 1)

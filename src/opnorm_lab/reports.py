@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .certify import CertificateReport, WxReport
+from .certify import CertificateReport, WxReport, _gap_bands
 from .operators import GapReport
 from .spaces import SpaceSpec, SupNormResult
 
@@ -62,6 +62,7 @@ def _gap_payload(rep: GapReport) -> dict:
 
 
 def _certificate_payload(rep: CertificateReport) -> dict:
+    equality_band, strict_band = _gap_bands(rep.residual_tol)
     return {
         "schema": SCHEMA_ID,
         "candidates": [
@@ -77,8 +78,8 @@ def _certificate_payload(rep: CertificateReport) -> dict:
         "gap_crosscheck": rep.gap_crosscheck,
         "tolerances": {
             "residual": rep.residual_tol,
-            "gap_equality": 10.0 * rep.residual_tol,
-            "gap_strict": 100.0 * rep.residual_tol,
+            "gap_equality": equality_band,
+            "gap_strict": strict_band,
         },
     }
 

@@ -531,7 +531,13 @@ def _fmt(node, minlevel: int) -> str:
 
 
 def format_expr(node: SymbolExpr) -> str:
-    """Render an AST to grammar text; parsing the result reproduces the AST."""
+    """Render an AST to grammar text that parses to an equal value.
+
+    Parsing the text of a parsed AST reproduces that AST.  A hand-built
+    constant with an imaginary part other than 0 and +-1 prints as
+    arithmetic on i, e.g. ``Const(2j)`` as ``(2.0 * i)``, which parses to a
+    different AST of the same value.
+    """
     return _fmt(node, 0)
 
 
@@ -611,9 +617,10 @@ def eval_symbol(f: SymbolFamily, t, z):
     (1,)), so a value is bit for bit the same whether it is asked for
     alone, in a t-array or at one point of a z-array.  The result has the
     broadcast shape, and is a complex number only when both are scalars.
-    Raises :class:`EvaluationError` if a division by zero occurs or any
-    value comes out nonfinite, and :class:`DomainError` for points outside
-    the closed disk or any t outside (0, 1) when the family uses t.
+    Raises :class:`EvaluationError` if a division by zero occurs, a power
+    of a constant overflows Python's complex type or any value comes out
+    nonfinite, and :class:`DomainError` for points outside the closed disk
+    or any t outside (0, 1) when the family uses t.
     """
     arr = np.asarray(z, dtype=complex)
     if arr.size:
@@ -644,6 +651,8 @@ def eval_symbol(f: SymbolFamily, t, z):
             val = f.kernel(tc, arr if arr.ndim else arr.reshape(1))
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero in symbol evaluation") from exc
+    except OverflowError as exc:
+        raise EvaluationError(f"symbol evaluation overflowed: {exc}") from exc
     if not shape:
         val = complex(np.ravel(val)[0])
         if not cmath.isfinite(val):

@@ -114,6 +114,9 @@ def test_nested_unknown_field_rejected(tmp_path, capsys):
         {"quad": {"n_theta": 2048.9}},
         {"quad": {"n_theta": 1000000000000}},
         {"bindings": {"c": 10**400}},
+        {"space": {"kind": "hardy"}},
+        {"space": {"kind": "hardy", "p": 2, "alpha": 0.5}},
+        {"out": 5},
     ],
 )
 def test_mistyped_config_is_domain_error(tmp_path, capsys, extra):
@@ -139,6 +142,19 @@ def test_deep_symbol_is_a_parse_error(tmp_path, capsys, symbol):
     cfg = _write_config(tmp_path, {"symbol": symbol})
     assert run_cli(["supnorm", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: symbol nests deeper than")
+
+
+@pytest.mark.parametrize("symbol", ["2^100000 * z", "(1+i)^5000 + z"])
+@pytest.mark.parametrize("command", ["supnorm", "opnorm", "norm", "gap", "certify", "wx-check"])
+def test_constant_overflow_is_not_an_internal_error(tmp_path, capsys, symbol, command):
+    # Constant subtrees run as Python complex numbers, whose powers raise on overflow.
+    cfg = _write_config(tmp_path, {"symbol": symbol})
+    code = run_cli([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    if command == "wx-check":
+        assert code == 0 and json.loads(captured.out)["verdict"] == "Inconclusive"
+    else:
+        assert code == 1 and captured.err.startswith("error: "), captured.err
 
 
 def test_malformed_json_rejected(tmp_path, capsys):
@@ -221,6 +237,12 @@ def test_sweep_requires_binding_in_symbol():
     )
     with pytest.raises(ol.DomainError, match="does not occur"):
         sweep_gap(cfg)
+
+
+def test_sweep_requires_values(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**BASE, "sweep": {"binding": "c", "values": []}})
+    assert run_cli(["sweep", "--config", str(cfg)]) == 1
+    assert "config.sweep.values must be a nonempty list" in capsys.readouterr().err
 
 
 def test_sweep_determinism(tmp_path):

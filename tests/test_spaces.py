@@ -30,6 +30,12 @@ def test_quad_config_validation():
         ol.QuadConfig(hardy_radii=(0.9, 0.5))
     with pytest.raises(ol.DomainError):
         ol.QuadConfig(hardy_radii=(0.5, 1.0))
+    with pytest.raises(ol.DomainError, match="nonempty"):
+        ol.QuadConfig(hardy_radii=())
+    with pytest.raises(ol.DomainError, match="t_nodes"):
+        ol.QuadConfig(t_nodes=1)
+    with pytest.raises(ol.DomainError, match="tol"):
+        ol.QuadConfig(tol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -70,13 +76,19 @@ def test_hardy_norm_detects_nonanalytic_means(quad):
 
 
 def test_hardy_norm_boundary_crosscheck(quad):
-    value = ol.hardy_norm(lambda w: (w + 2.0) / 3.0, 2.0, quad, compare_boundary=True)
+    value = ol.hardy_norm(lambda w: (w + 2.0) / 3.0, 2.0, quad)
     assert value == pytest.approx(math.sqrt(5.0) / 3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("p,alpha", [(1.5, -0.5), (2.0, 0.0), (4.0, 1.0)])
 def test_bergman_norm_of_constant(p, alpha, quad):
     assert ol.bergman_norm(const_one, p, alpha, quad) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("p,alpha", [(0.0, 0.0), (-1.0, 0.0), (2.0, -1.0)])
+def test_bergman_norm_rejects_bad_parameters(p, alpha, quad):
+    with pytest.raises(ol.DomainError):
+        ol.bergman_norm(const_one, p, alpha, quad)
 
 
 def test_bergman_norm_of_extremal(quad):
@@ -140,6 +152,8 @@ def test_eval_functional_norm_values():
     )
     with pytest.raises(ol.DomainError):
         ol.eval_functional_norm(1.0, ol.SpaceSpec.hardy(2.0))
+    with pytest.raises(ol.DomainError):
+        ol.extremal_function(1.0, ol.SpaceSpec.hardy(2.0))
 
 
 def test_extremal_function_at_origin_is_one():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,23 @@ def test_parse_rejects_unbound_name():
 def test_parse_rejects_fractional_exponent():
     with pytest.raises(ol.ParseError, match="integer"):
         ol.parse_symbol("z^2.5")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("blaschke([0.5]; -1)", "order must be nonnegative"),
+        ("blaschke([0.5]; x)", "order must be an integer"),
+        ("blaschke([0.5+0.2]; 0)", "expected 'i'"),
+        ("blaschke([0.5+]; 0)", "imaginary part"),
+        ("blaschke([+0.5]; 0)", "complex literal"),
+        ("(z", "expected ')'"),
+        ("z)", "trailing input"),
+    ],
+)
+def test_parse_rejects_malformed_text(text, message):
+    with pytest.raises(ol.ParseError, match=re.escape(message)):
+        ol.parse_symbol(text)
 
 
 def test_parse_reports_position():
@@ -228,6 +246,7 @@ def test_format_parse_roundtrip_corpus():
         "(t^(-1)) * z",
         "-0.5 + z^3 - t * z",
         "blaschke([0.3+0.4i, -0.25]; 2)",
+        "blaschke([0.5i, -0.99i]; 0)",
         "-(z + t) * -z^2",
         "2e-3 * z - -1.5",
     ]
@@ -235,6 +254,13 @@ def test_format_parse_roundtrip_corpus():
         fam = ol.parse_symbol(text, {"c": -0.5})
         printed = ol.format_symbol(fam)
         assert ol.parse_symbol(printed).body == fam.body
+
+
+@pytest.mark.parametrize("value", [2j, 0.5 - 2j, -1.5j])
+def test_format_complex_constant_parses_to_its_value(value):
+    # Hand-built complex constants print as arithmetic on i: same value, other AST.
+    printed = ol.format_expr(ol.Const(value))
+    assert ol.eval_symbol(ol.parse_symbol(printed), None, 0.3j) == value
 
 
 def test_symbol_names():
