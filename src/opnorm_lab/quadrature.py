@@ -1,4 +1,4 @@
-"""Rules on (0, 1), circle means, adaptive integration and golden section.
+"""Rules on (0, 1), circle means, adaptive integration and a zoom search.
 
 All rules here are open (no endpoint nodes), which matters because the
 integrands fed to them may blow up or lose meaning at t = 0, 1.
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import QuadratureError
 
@@ -41,7 +40,10 @@ def jacobi_rule_01(n: int, alpha: float):
 
     Built from the Gauss-Jacobi rule with weight (1-x)^alpha on (-1, 1), so
     the endpoint behavior of the weight is exact and the weights sum to 1.
+    scipy is imported here, its only use, so it loads only with a Bergman norm.
     """
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(int(n), float(alpha), 0.0)
     s = 0.5 * (x + 1.0)
     ws = (1.0 + alpha) * (0.5 ** (alpha + 1.0)) * w
@@ -50,46 +52,41 @@ def jacobi_rule_01(n: int, alpha: float):
     return s, ws
 
 
-#: Golden-section steps for the sup norm's maxima and the continuity screen's minima.
-SUP_REFINE_STEPS = 32
-CONTINUITY_REFINE_STEPS = 40
+#: Zoom steps for the sup norm's maxima and the continuity screen's minima; each
+#: step shrinks a bracket 8x.
+SUP_REFINE_STEPS = 8
+CONTINUITY_REFINE_STEPS = 10
 #: The largest angular grid of a circle mean, and the most values asked of f at once.
 CIRCLE_MAX_NODES = 1 << 18
 CIRCLE_BLOCK_ELEMS = 1 << 21
 #: Panel halvings before an adaptive integral reports its disagreement as unresolved.
 ADAPTIVE_MAX_DEPTH = 24
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_ZOOM_OFFSETS = np.arange(-7, 8)
 
 
-def _golden_max(fn, a, b, iters: int):
-    """Vectorized golden-section maximization on brackets [a_i, b_i].
+def _zoom_max(fn, a, b, steps: int):
+    """Vectorized zoom maximization on brackets [a_i, b_i].
 
-    Returns (argmax, value, width) arrays.  One new evaluation per bracket
-    per iteration.
+    Each step asks ``fn`` once for 15 equispaced interior points of every
+    bracket, an array of shape (brackets, 15) whose 8th column is the
+    bracket's centre.  The centre stays the best point unless a sample is
+    strictly larger, and the bracket shrinks 8x to one sample spacing on
+    either side of the best point, so a unimodal maximizer stays inside.
+    Returns (argmax, value, width) arrays.
     """
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = fn(x1)
-    f2 = fn(x2)
-    for _ in range(iters):
-        keep_left = f1 > f2
-        a2 = np.where(keep_left, a, x1)
-        b2 = np.where(keep_left, x2, b)
-        x1n = np.where(keep_left, b2 - _INVPHI * (b2 - a2), x2)
-        x2n = np.where(keep_left, x1, a2 + _INVPHI * (b2 - a2))
-        fresh = fn(np.where(keep_left, x1n, x2n))
-        f1n = np.where(keep_left, fresh, f2)
-        f2n = np.where(keep_left, f1, fresh)
-        a, b, x1, x2, f1, f2 = a2, b2, x1n, x2n, f1n, f2n
-        if float(np.max(b - a)) < 1e-15:
-            break
-    best_left = f1 >= f2
-    theta = np.where(best_left, x1, x2)
-    value = np.maximum(f1, f2)
-    return theta, value, b - a
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    centre, h = 0.5 * (a + b), (b - a) / 16.0
+    rows = np.arange(centre.size)
+    for _ in range(steps):
+        vals = fn(centre[:, None] + h[:, None] * _ZOOM_OFFSETS)
+        best = np.argmax(vals, axis=1)
+        best = np.where(vals[rows, best] > vals[:, 7], best, 7)  # column 7: offset 0
+        value = vals[rows, best]
+        centre = centre + h * _ZOOM_OFFSETS[best]
+        h = h / 8.0
+    return centre, value, 16.0 * h
 
 
 def circle_grid(n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError, QuadratureError
 from .quadrature import (
     SUP_REFINE_STEPS,
-    _golden_max,
+    _zoom_max,
     circle_grid,
     circle_mean_abs_pow,
     jacobi_rule_01,
@@ -88,7 +88,7 @@ class QuadConfig:
     Hardy norm checks that its circle means increase up to the boundary
     mean; the default ladder is 1 - 2^-k for k = 1..16.  The fields that
     size grids and eigensolves are capped (``RESOURCE_CAPS``); check_wx
-    builds a Gauss rule of 4 * t_nodes.  Golden-section step counts are
+    builds a Gauss rule of 4 * t_nodes.  Zoom-search step counts are
     constants of :mod:`opnorm_lab.quadrature`.
     """
 
@@ -137,7 +137,7 @@ class SupNormResult:
     """Boundary sup norm with the point attaining it.
 
     ``residual`` is a width in theta, not a bound on the error of
-    ``value``: the final golden-section bracket, or one grid cell when no
+    ``value``: the final zoom bracket, or one grid cell when no
     refined value beats the grid maximum, as when it sits on a flat arc,
     which is not refined.  ``plateau`` flags |g| flat on at least 90 % of
     the grid; the residual is then the full circle.  ``peaks`` holds
@@ -236,9 +236,10 @@ def _cyclic_runs(mask: np.ndarray) -> list[np.ndarray]:
 def sup_norm(g, q: QuadConfig) -> SupNormResult:
     """Global maximum of |g| on the unit circle.
 
-    Dense sampling on q.n_theta nodes followed by golden-section
-    refinement around every local maximum that could still reach the grid
-    maximum after refinement (judged by the local curvature).  Flat arcs,
+    Dense sampling on q.n_theta nodes followed by a zoom search (one call
+    of g per step, ``SUP_REFINE_STEPS`` steps) within one grid cell of
+    every local maximum that could still reach the grid maximum after
+    refinement (judged by the local curvature).  Flat arcs,
     at least three grid cells where |g| is within 1e-9 relative of the grid
     maximum, have no bracket to refine and keep their grid values.  When
     at least 90 % of the grid is flat, the result is the grid maximum with
@@ -282,7 +283,7 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
 
     if js.size:
         fn = lambda th: np.abs(np.asarray(g(np.exp(1j * th))))
-        theta_ref, val_ref, widths = _golden_max(
+        theta_ref, val_ref, widths = _zoom_max(
             fn, thetas[js] - spacing, thetas[js] + spacing, SUP_REFINE_STEPS
         )
         at = np.searchsorted(lmax, js)

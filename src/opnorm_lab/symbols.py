@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParseError
-from .quadrature import CONTINUITY_REFINE_STEPS, _golden_max
+from .quadrature import CONTINUITY_REFINE_STEPS, _zoom_max
 
 __all__ = [
     "Add",
@@ -719,7 +719,7 @@ def _refined_boundary_min(den: SymbolFamily, ts, mod) -> float:
     """Smallest |den| on the circle near the grid local minima of ``mod``.
 
     ``mod`` holds |den| on an equispaced boundary grid, one row per entry of
-    ``ts``.  Each local minimum is refined by golden section within one
+    ``ts``.  Each local minimum is refined by a zoom search within one
     grid cell on either side, so a zero between grid points shows up.
     """
     left, right = np.roll(mod, 1, axis=1), np.roll(mod, -1, axis=1)
@@ -731,9 +731,9 @@ def _refined_boundary_min(den: SymbolFamily, ts, mod) -> float:
     t_rows = ts[rows]
 
     def neg_mod(theta):
-        return -np.abs(eval_symbol(den, t_rows, np.exp(1j * theta)))
+        return -np.abs(eval_symbol(den, t_rows[:, None], np.exp(1j * theta)))
 
-    _, value, _ = _golden_max(neg_mod, thetas - cell, thetas + cell, CONTINUITY_REFINE_STEPS)
+    _, value, _ = _zoom_max(neg_mod, thetas - cell, thetas + cell, CONTINUITY_REFINE_STEPS)
     return float(np.min(-value))
 
 
@@ -748,7 +748,7 @@ def is_boundary_continuous(f: SymbolFamily) -> bool:
     denominator is screened for zeros on a boundary plus interior grid (and
     across a probe grid of t values for t-dependent denominators, all in one
     :func:`eval_symbol` call); every boundary-grid local minimum of its
-    modulus is then refined by golden section within one grid cell, which
+    modulus is then refined by a zoom search within one grid cell, which
     catches a zero on the circle between grid points.  A denominator passes
     when its modulus stays above ``DENOMINATOR_FLOOR`` throughout.  The
     whole symbol must respect the maximum principle on the same grid, which

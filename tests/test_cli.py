@@ -127,7 +127,7 @@ def test_mistyped_config_is_domain_error(tmp_path, capsys, extra):
 
 
 def test_sup_refine_iters_is_an_unknown_quad_field(tmp_path, capsys):
-    # The golden-section step count is a constant, no longer a config field.
+    # The sup norm's refinement step count is a constant, not a config field.
     cfg = _write_config(tmp_path, {**BASE, "quad": {"sup_refine_iters": 32}})
     assert run_cli(["supnorm", "--config", str(cfg)]) == 1
     assert "unknown config field config.quad.sup_refine_iters" in capsys.readouterr().err

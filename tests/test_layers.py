@@ -1,6 +1,9 @@
 """The package's modules import one way, down a fixed stack of layers."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import opnorm_lab
@@ -66,3 +69,18 @@ def test_every_module_has_a_layer():
 
 def test_imports_run_down_the_layers():
     assert _violations() == []
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only the Gauss-Jacobi rules of Bergman norms; every other
+    # command starts without paying for its import.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import opnorm_lab.cli, sys; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"

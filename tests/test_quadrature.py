@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from opnorm_lab.quadrature import (
+    CONTINUITY_REFINE_STEPS,
+    SUP_REFINE_STEPS,
+    _zoom_max,
     circle_mean_abs_pow,
     gauss_rule_01,
     integrate_adaptive_01,
@@ -72,3 +75,26 @@ def test_circle_mean_matches_poisson_identity():
     for r, m in zip((0.5, 0.99), means):
         assert m == pytest.approx(1.0 / (1.0 - a * a * r * r), rel=1e-10)
 
+
+PEAKS = {
+    "cos": lambda th, peaks: np.cos(th - peaks[:, None]),
+    "kink": lambda th, peaks: -np.abs(th - peaks[:, None]),
+}
+
+
+# cos is flat to rounding within about 1e-8 of its peak, so it is zoomed
+# only to brackets wider than that; the kink has no such floor.
+@pytest.mark.parametrize(
+    "peak,steps",
+    [("cos", 1), ("cos", 4), ("kink", SUP_REFINE_STEPS), ("kink", CONTINUITY_REFINE_STEPS)],
+)
+def test_zoom_keeps_each_maximizer_in_its_final_bracket(peak, steps):
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-3.0, 3.0, 40)
+    b = a + rng.uniform(1e-3, 1.0, 40)
+    peaks = rng.uniform(a, b)
+    fn = lambda th: PEAKS[peak](th, peaks)
+    theta, value, width = _zoom_max(fn, a, b, steps)
+    assert np.allclose(width, (b - a) / 8.0**steps, rtol=1e-14, atol=0)
+    assert np.all(np.abs(theta - peaks) <= 0.5 * width)
+    assert np.all(value >= fn(0.5 * (a + b)[:, None])[:, 0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import opnorm_lab as ol
+from opnorm_lab.quadrature import SUP_REFINE_STEPS
 
 
 def const_one(w):
@@ -139,6 +140,29 @@ def test_sup_norm_value_dominates_grid(quad):
     res = ol.sup_norm(g, quad)
     grid = np.exp(2j * np.pi * np.arange(quad.n_theta) / quad.n_theta)
     assert res.value >= float(np.max(np.abs(np.asarray(g(grid))))) - 1e-15
+
+
+def test_sup_norm_calls_g_once_per_zoom_step(quad):
+    g = ol.frozen_symbol(ol.parse_symbol("(2 + z) * blaschke([0.4]; 0)"))
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return g(w)
+
+    ol.sup_norm(counted, quad)
+    assert len(calls) == 1 + SUP_REFINE_STEPS
+
+
+@pytest.mark.parametrize("n_theta", [256, 2048])
+def test_sup_norm_finds_a_narrow_peak_between_grid_points(n_theta):
+    # |1/(1 + eps - e^{i phi} z)| peaks at 1/eps, off every grid point, on
+    # an arc of width about eps.
+    eps, phi = 1e-3, math.pi / 2048 + 1e-4
+    res = ol.sup_norm(
+        lambda w: 1.0 / (1.0 + eps - np.exp(1j * phi) * w), ol.QuadConfig(n_theta=n_theta)
+    )
+    assert res.value == pytest.approx(1.0 / eps, rel=1e-12)
 
 
 def test_eval_functional_norm_values():
