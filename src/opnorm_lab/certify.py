@@ -3,7 +3,8 @@
 Two characterizations are checked.  The integrability side: a family
 {g_t} induces a well-defined integrated operator when t -> g_t is norm
 continuous, locally uniformly bounded, and has integrable sup norms
-(:func:`check_wx` gathers numerical evidence for each condition).  The
+(:func:`check_wx` gathers numerical evidence for each condition, reading
+the integral from one table of sup norms on nested Fejer t-rules).  The
 equality side: for boundary-continuous families with p > 1, equality of
 the integrated-operator norm with the integrated norms holds exactly when
 one boundary point xi and one unimodular phase theta align every g_t, i.e.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, OpnormLabError, QuadratureError
 from .operators import gap_report
-from .quadrature import gauss_rule_01, integrate_adaptive_01
+from .quadrature import fejer_rule_01, gauss_rule_01, integrate_adaptive_01
 from .spaces import QuadConfig, SpaceSpec, SupNormResult, _t_atol, space_norm, sup_norm
 from .symbols import SymbolFamily, eval_symbol, frozen_symbol, is_boundary_continuous
 
@@ -65,11 +66,12 @@ class Cond1Probe:
 class Cond2Band:
     epsilon: float
     sup_value: float
-    finite: bool
 
 
 @dataclass(frozen=True)
 class Cond3Integral:
+    """(n, value) on Fejer rules of n = t_nodes - 1, 2 t_nodes - 1, 4 t_nodes - 1."""
+
     estimates: tuple[tuple[int, float], ...]
     deltas: tuple[float, ...]
     diverging: bool
@@ -80,10 +82,12 @@ class WxReport:
     """Numerical evidence for the three integrability conditions.
 
     cond1: norm continuity in t at each probe, sampled at shrinking
-    offsets.  cond2: sup of the per-t sup norms on compact subintervals.
-    cond3: the t-integral of the sup norms at three doubled rule sizes,
-    with the deltas between them.  These conditions are semi-decidable
-    numerically, so the verdict records trends, not proofs.
+    offsets.  cond2: sup of the per-t sup norms on compact subintervals;
+    a sup norm that cannot be evaluated makes the verdict Inconclusive.
+    cond3: the t-integral of the sup norms on three nested rules, each
+    about twice the size of the last, with the deltas between them.  These
+    conditions are semi-decidable numerically, so the verdict records
+    trends, not proofs.
     """
 
     cond1: tuple[Cond1Probe, ...]
@@ -109,7 +113,11 @@ def check_wx(
     q: QuadConfig,
     t_probe=None,
 ) -> WxReport:
-    """Gather evidence for the three conditions making the family integrable."""
+    """Gather evidence for the three conditions making the family integrable.
+
+    Condition 3 reads one table of sup norms over the nested rules' t, so
+    only the finest rule's 4 * t_nodes - 1 nodes are scanned.
+    """
     if t_probe is None:
         t_probe = (np.arange(8) + 0.5) / 8
     t_probe = np.asarray(t_probe, dtype=float)
@@ -126,8 +134,7 @@ def check_wx(
     try:
         # Condition 1: || g_t - g_{t0} ||_X -> 0 as t -> t0.
         for t0 in t_probe:
-            values = []
-            deltas = []
+            values, deltas = [], []
             for delta in _COND1_DELTAS:
                 diffs = []
                 for t in (t0 - delta, t0 + delta):
@@ -135,9 +142,7 @@ def check_wx(
                         continue
 
                     def diff(w, _t=t, _t0=t0):
-                        return np.asarray(eval_symbol(f, _t, w)) - np.asarray(
-                            eval_symbol(f, _t0, w)
-                        )
+                        return eval_symbol(f, _t, w) - eval_symbol(f, _t0, w)
 
                     diffs.append(space_norm(diff, space, qp))
                 if diffs:
@@ -148,29 +153,26 @@ def check_wx(
                 later <= 0.5 * earlier + floor
                 for earlier, later in zip(values, values[1:])
             )
-            probes.append(
-                Cond1Probe(
-                    t0=float(t0),
-                    deltas=tuple(deltas),
-                    values=tuple(values),
-                    decreasing=decreasing,
-                )
-            )
+            probes.append(Cond1Probe(float(t0), tuple(deltas), tuple(values), decreasing))
 
         # Condition 2: sup norms bounded on compact subintervals.
         condition = 2
         for eps in _COND2_EPSILONS:
             grid = np.linspace(eps, 1.0 - eps, 33)
             sups = [sup_norm(frozen_symbol(f, t), q).value for t in grid]
-            finite = all(math.isfinite(s) for s in sups)
-            bands.append(Cond2Band(epsilon=eps, sup_value=float(max(sups)), finite=finite))
+            bands.append(Cond2Band(epsilon=eps, sup_value=float(max(sups))))
 
-        # Condition 3: the t-integral of the sup norms, at doubled rule sizes.
+        # Condition 3: the t-integral of the sup norms on nested Fejer rules;
+        # each t is scanned once, and each estimate lands as its rule completes.
         condition = 3
-        for n in (q.t_nodes, 2 * q.t_nodes, 4 * q.t_nodes):
-            nodes, weights = gauss_rule_01(n)
-            vals = [sup_norm(frozen_symbol(f, t), q).value for t in nodes]
-            estimates.append((n, float(np.dot(weights, vals))))
+        table: dict[float, float] = {}
+        for n in (q.t_nodes - 1, 2 * q.t_nodes - 1, 4 * q.t_nodes - 1):
+            nodes, weights = fejer_rule_01(n)
+            for t in nodes.tolist():
+                if t not in table:
+                    table[t] = sup_norm(frozen_symbol(f, t), q).value
+            vals = [table[t] for t in nodes.tolist()]
+            estimates.append((n, float(weights @ vals)))
     except OpnormLabError as exc:
         return WxReport(
             cond1=tuple(probes),
@@ -185,12 +187,7 @@ def check_wx(
     if not cond1_ok:
         bad = next(p for p in probes if not p.decreasing)
         witness = f"norm continuity not evident at t0 = {bad.t0:.6g}"
-    cond2_ok = all(b.finite for b in bands)
-    if not cond2_ok and witness is None:
-        witness = "sup norms not finite on a compact subinterval"
-    deltas = tuple(
-        abs(b[1] - a[1]) for a, b in zip(estimates, estimates[1:])
-    )
+    deltas = tuple(abs(b - a) for (_, a), (_, b) in zip(estimates, estimates[1:]))
     scale = max(1.0, abs(estimates[-1][1]))
     settled = deltas[-1] <= max(100.0 * q.tol * scale, 1e-10)
     shrinking = deltas[-1] <= 0.5 * deltas[0] + 1e-12
@@ -202,17 +199,8 @@ def check_wx(
             + ", ".join(f"n={n}: {v:.6g}" for n, v in estimates)
         )
 
-    if cond1_ok and cond2_ok and not diverging:
-        verdict = VERDICT_PASS
-    else:
-        verdict = VERDICT_FAIL
-    return WxReport(
-        cond1=tuple(probes),
-        cond2=tuple(bands),
-        cond3=cond3,
-        verdict=verdict,
-        witness=witness,
-    )
+    verdict = VERDICT_PASS if cond1_ok and not diverging else VERDICT_FAIL
+    return WxReport(tuple(probes), tuple(bands), cond3, verdict, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,8 @@ def _is_real(value) -> bool:
 def _number(value, path: str, kind=float):
     if not _is_real(value) or (kind is int and value % 1 != 0):
         raise DomainError(f"{path} must be {'an integer' if kind is int else 'a number'}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+        raise DomainError(f"{path} must be a finite number")
     try:
         return kind(value)
     except OverflowError as exc:

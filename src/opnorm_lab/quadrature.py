@@ -1,7 +1,8 @@
 """Rules on (0, 1), circle means, adaptive integration and a zoom search.
 
 All rules here are open (no endpoint nodes), which matters because the
-integrands fed to them may blow up or lose meaning at t = 0, 1.
+integrands fed to them may blow up or lose meaning at t = 0, 1.  Unlike
+Gauss rules, Fejer's second rule nests: rule n's nodes are rule 2n + 1's.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "AdaptiveIntegral",
     "circle_grid",
     "circle_mean_abs_pow",
+    "fejer_rule_01",
     "gauss_rule_01",
     "integrate_adaptive_01",
     "jacobi_rule_01",
@@ -29,6 +31,23 @@ def gauss_rule_01(n: int):
     x, w = np.polynomial.legendre.leggauss(int(n))
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def fejer_rule_01(n: int):
+    """Fejer's second rule (open Clenshaw-Curtis) on (0, 1); weights sum to 1.
+
+    Nodes sin^2(k pi / (2(n+1))), k = 1..n, weights from the direct sine
+    sum.  Exact for polynomials of degree below n.  Rule n's nodes are, bit
+    for bit, every second node of rule 2n + 1.
+    """
+    theta = np.arange(1, int(n) + 1) * np.pi / (n + 1)
+    odd = np.arange(1, n + 1, 2)
+    nodes = np.sin(0.5 * theta) ** 2
+    weights = 2.0 * np.sin(theta) / (n + 1) * (np.sin(np.outer(theta, odd)) @ (1.0 / odd))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -97,7 +97,7 @@ def _wx_payload(rep: WxReport) -> dict:
             for p in rep.cond1
         ],
         "cond2": [
-            {"epsilon": b.epsilon, "sup": b.sup_value, "finite": b.finite}
+            {"epsilon": b.epsilon, "sup": b.sup_value}
             for b in rep.cond2
         ],
         "cond3": {

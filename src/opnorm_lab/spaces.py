@@ -54,10 +54,10 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in ("hardy", "bergman"):
             raise DomainError(f"unknown space kind {self.kind!r}")
-        if not self.p > 0:
-            raise DomainError("p must be positive")
-        if self.kind == "bergman" and not self.alpha > -1:
-            raise DomainError("Bergman weight parameter must exceed -1")
+        if not 0 < self.p < np.inf:
+            raise DomainError("p must be positive and finite")
+        if self.kind == "bergman" and not -1 < self.alpha < np.inf:
+            raise DomainError("Bergman weight parameter must be finite and exceed -1")
 
     @classmethod
     def hardy(cls, p: float) -> "SpaceSpec":
@@ -88,8 +88,9 @@ class QuadConfig:
     Hardy norm checks that its circle means increase up to the boundary
     mean; the default ladder is 1 - 2^-k for k = 1..16.  The fields that
     size grids and eigensolves are capped (``RESOURCE_CAPS``); check_wx
-    builds a Gauss rule of 4 * t_nodes.  Zoom-search step counts are
-    constants of :mod:`opnorm_lab.quadrature`.
+    reads Fejer rules of up to 4 * t_nodes - 1 nodes.  NaN and infinite
+    values fail every check.  Zoom-search step counts are constants of
+    :mod:`opnorm_lab.quadrature`.
     """
 
     n_theta: int = 2048
@@ -99,25 +100,25 @@ class QuadConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.n_theta < 16:
+        if not self.n_theta >= 16:
             raise DomainError("n_theta must be at least 16")
-        if self.n_radial < 8:
+        if not self.n_radial >= 8:
             raise DomainError("n_radial must be at least 8")
         for name, cap in RESOURCE_CAPS.items():
-            if getattr(self, name) > cap:
+            if not getattr(self, name) <= cap:
                 raise DomainError(f"{name} must be at most {cap}")
         radii = tuple(float(r) for r in self.hardy_radii)
         object.__setattr__(self, "hardy_radii", radii)
         if not radii:
             raise DomainError("hardy_radii must be nonempty")
-        if any(r >= 1.0 or r <= 0.0 for r in radii):
+        if not all(0.0 < r < 1.0 for r in radii):
             raise DomainError("hardy_radii must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("hardy_radii must be strictly increasing")
-        if self.t_nodes < 2:
+        if not self.t_nodes >= 2:
             raise DomainError("t_nodes must be at least 2")
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise DomainError("tol must be positive and finite")
 
 
 def _mean_rtol(q: QuadConfig) -> float:
@@ -219,20 +220,6 @@ def space_norm(f, space: SpaceSpec, q: QuadConfig) -> float:
 # Boundary sup norm
 
 
-def _cyclic_runs(mask: np.ndarray) -> list[np.ndarray]:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    if idx.size == mask.size:
-        return [idx]
-    splits = np.flatnonzero(np.diff(idx) > 1)
-    runs = np.split(idx, splits + 1)
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == mask.size - 1:
-        runs[0] = np.concatenate([runs[-1], runs[0]])
-        runs.pop()
-    return runs
-
-
 def sup_norm(g, q: QuadConfig) -> SupNormResult:
     """Global maximum of |g| on the unit circle.
 
@@ -244,7 +231,8 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
     maximum, have no bracket to refine and keep their grid values.  When
     at least 90 % of the grid is flat, the result is the grid maximum with
     ``plateau=True`` and the full circle as the residual.  All grid local
-    maxima are returned as ``peaks``.
+    maxima are returned as ``peaks``.  A nonfinite |g| on the grid or an
+    infinite refined maximum raises :class:`EvaluationError`.
     """
     n = q.n_theta
     thetas = _TWO_PI * np.arange(n) / n
@@ -261,10 +249,10 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
     if float(flat.mean()) >= 0.9:
         return SupNormResult(vmax, complex(zs[jmax]), _TWO_PI, plateau=True)
 
-    in_arc = np.zeros(n, dtype=bool)
-    for run in _cyclic_runs(flat):
-        if run.size >= 3:
-            in_arc[run] = True
+    # On a cyclic flat arc: a cell that is, or neighbours, the centre of 3 flat cells.
+    ext = np.concatenate((flat[-2:], flat, flat[:2]))
+    centre = ext[1:-1] & ext[:-2] & ext[2:]
+    in_arc = centre[:-2] | centre[1:-1] | centre[2:]
 
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
@@ -286,6 +274,8 @@ def sup_norm(g, q: QuadConfig) -> SupNormResult:
         theta_ref, val_ref, widths = _zoom_max(
             fn, thetas[js] - spacing, thetas[js] + spacing, SUP_REFINE_STEPS
         )
+        if not np.all(np.isfinite(val_ref)):  # |g| overflowed between grid points
+            raise EvaluationError("sup-norm integrand is not finite between grid points")
         at = np.searchsorted(lmax, js)
         peak_vals[at] = val_ref
         peak_zs[at] = np.exp(1j * theta_ref)

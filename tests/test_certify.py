@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import opnorm_lab as ol
+from opnorm_lab.quadrature import fejer_rule_01
 
 HARDY2 = ol.SpaceSpec.hardy(2.0)
 
@@ -12,7 +13,6 @@ def test_check_wx_affine_family_passes(quad):
     rep = ol.check_wx(ol.parse_symbol("(c + t + z)", {"c": -0.5}), HARDY2, quad)
     assert rep.verdict == "PassEvidence"
     assert all(p.decreasing for p in rep.cond1)
-    assert all(b.finite for b in rep.cond2)
     assert not rep.cond3.diverging
 
 
@@ -34,7 +34,6 @@ def test_check_wx_inverse_t_passes_on_compacts(quad):
     probe = np.linspace(0.1, 0.9, 9)
     rep = ol.check_wx(fam, HARDY2, quad, t_probe=probe)
     assert all(p.decreasing for p in rep.cond1)
-    assert all(b.finite for b in rep.cond2)
     assert rep.cond2[0].sup_value == pytest.approx(10.0, rel=1e-9)
     assert rep.cond3.diverging
 
@@ -49,9 +48,10 @@ def test_check_wx_probe_validation(quad):
 
 @pytest.mark.parametrize("condition", [2, 3])
 def test_check_wx_evaluation_failure_names_its_condition(condition):
-    # The pole t = c sits on the condition-2 grid (c = 0.5) or only on the
-    # 32-node condition-3 rule, and on no condition-1 probe.
-    c = 0.5 if condition == 2 else float(ol.gauss_rule_01(32)[0][10])
+    # The pole t = c sits on the condition-2 grid (c = 0.5) or on the
+    # 31-node condition-3 rule but not the 15-node one, and on no
+    # condition-1 probe.
+    c = 0.5 if condition == 2 else float(fejer_rule_01(31)[0][10])
     fam = ol.parse_symbol("z / (t - c)", {"c": c})
     rep = ol.check_wx(fam, HARDY2, ol.QuadConfig(n_theta=256, t_nodes=16, tol=1e-6))
     assert rep.verdict == "Inconclusive"
@@ -60,6 +60,24 @@ def test_check_wx_evaluation_failure_names_its_condition(condition):
     assert len(rep.cond2) == 2 * (condition - 2)
     assert len(rep.cond3.estimates) == condition - 2
     assert rep.cond3.deltas == () and not rep.cond3.diverging
+
+
+def test_check_wx_condition_three_reads_one_nested_table(monkeypatch):
+    # Condition 2 scans 2 x 33 t; condition 3 scans the 63 nodes of the
+    # finest Fejer rule once each, the 15 and 31 coarser nodes among them.
+    from opnorm_lab import certify
+
+    ts: list[float] = []
+    calls = []
+    frozen, sup = certify.frozen_symbol, certify.sup_norm
+    monkeypatch.setattr(certify, "frozen_symbol", lambda f, t: ts.append(t) or frozen(f, t))
+    monkeypatch.setattr(certify, "sup_norm", lambda g, q: calls.append(1) or sup(g, q))
+    fam = ol.parse_symbol("(c + t + z) * blaschke([0.5, 0.9]; 0)", {"c": -0.5})
+    rep = ol.check_wx(fam, HARDY2, ol.QuadConfig(n_theta=256, t_nodes=16))
+    assert rep.verdict == "PassEvidence"
+    assert len(calls) == len(ts) == 66 + 63
+    assert sorted(ts[66:]) == fejer_rule_01(63)[0].tolist()
+    assert [n for n, _ in rep.cond3.estimates] == [15, 31, 63]
 
 
 def test_argmax_set_positive_coefficient(quad):

@@ -117,6 +117,15 @@ def test_nested_unknown_field_rejected(tmp_path, capsys):
         {"space": {"kind": "hardy"}},
         {"space": {"kind": "hardy", "p": 2, "alpha": 0.5}},
         {"out": 5},
+        {"quad": {"tol": float("inf")}},
+        {"quad": {"tol": float("nan")}},
+        {"quad": {"hardy_radii": [0.5, float("nan")]}},
+        {"space": {"kind": "hardy", "p": float("inf")}},
+        {"space": {"kind": "bergman", "p": 2, "alpha": float("inf")}},
+        {"certify": {"tol": float("nan")}},
+        {"bindings": {"c": float("nan")}},
+        {"t": float("-inf")},
+        {"sweep": {"binding": "c", "values": [0.1, float("inf")]}},
     ],
 )
 def test_mistyped_config_is_domain_error(tmp_path, capsys, extra):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +177,61 @@ def test_global_phase_invariance_of_gap(quad, rng):
         assert rep_rot.lhs == pytest.approx(rep.lhs, abs=1e-10, rel=1e-10)
         assert rep_rot.rhs == pytest.approx(rep.rhs, abs=1e-10, rel=1e-10)
         assert rep_rot.gap == pytest.approx(rep.gap, abs=1e-10)
+
+
+def _reflect_t(node):
+    """The AST with every t replaced by 1 - t."""
+    if isinstance(node, ol.ParamT):
+        return ol.Sub(ol.Const(1.0), ol.ParamT())
+    names = [a for a in ("left", "right", "arg", "base") if hasattr(node, a)]
+    kids = {a: _reflect_t(getattr(node, a)) for a in names}
+    return dataclasses.replace(node, **kids) if kids else node
+
+
+def _same(a, b, scale=1.0):
+    return abs(a - b) <= 1e-12 * max(abs(a), scale)
+
+
+_METAMORPHIC_QUAD = ol.QuadConfig(n_theta=1024, tol=1e-7)
+#: A fixed Blaschke product: unimodular on the circle, so it changes no norm here.
+_FIXED_BLASCHKE = ol.Blaschke((0.5, 0.3 + 0.4j), 1)
+
+
+def test_reflection_in_t_leaves_the_gap_unchanged():
+    q = _METAMORPHIC_QUAD
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        fam = random_family(rng)
+        rep = ol.gap_report(fam, HARDY2, q)
+        ref = ol.gap_report(ol.SymbolFamily(_reflect_t(fam.body)), HARDY2, q)
+        assert _same(ref.lhs, rep.lhs) and _same(ref.rhs, rep.rhs)
+        assert _same(ref.gap, rep.gap, scale=rep.rhs)
+
+
+def test_reflection_in_t_leaves_the_wx_integral_unchanged():
+    q = ol.QuadConfig(n_theta=256, t_nodes=16)
+    rng = np.random.default_rng(11)
+    canonical = ol.parse_symbol("(c + t + z) * blaschke([0.5, 0.9]; 0)", {"c": -0.5})
+    for fam in [canonical] + [random_family(rng) for _ in range(4)]:
+        rep = ol.check_wx(fam, HARDY2, q).cond3
+        ref = ol.check_wx(ol.SymbolFamily(_reflect_t(fam.body)), HARDY2, q).cond3
+        assert [n for n, _ in ref.estimates] == [n for n, _ in rep.estimates] == [15, 31, 63]
+        assert all(_same(b, a) for (_, a), (_, b) in zip(rep.estimates, ref.estimates))
+
+
+def test_fixed_blaschke_factor_leaves_every_norm_unchanged():
+    q = _METAMORPHIC_QUAD
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        fam = random_family(rng)
+        dressed = ol.SymbolFamily(ol.Mul(fam.body, _FIXED_BLASCHKE))
+        rep, rep_b = ol.gap_report(fam, HARDY2, q), ol.gap_report(dressed, HARDY2, q)
+        assert _same(rep_b.lhs, rep.lhs) and _same(rep_b.rhs, rep.rhs)
+        assert _same(rep_b.gap, rep.gap, scale=rep.rhs)
+        for t in (0.3, 0.7):
+            g, g_b = ol.frozen_symbol(fam, t), ol.frozen_symbol(dressed, t)
+            assert _same(ol.sup_norm(g_b, q).value, ol.sup_norm(g, q).value)
+            assert _same(ol.hardy_norm(g_b, 2.0, q), ol.hardy_norm(g, 2.0, q))
 
 
 def test_gap_scaling(quad, rng):

@@ -6,6 +6,7 @@ from opnorm_lab.quadrature import (
     SUP_REFINE_STEPS,
     _zoom_max,
     circle_mean_abs_pow,
+    fejer_rule_01,
     gauss_rule_01,
     integrate_adaptive_01,
     jacobi_rule_01,
@@ -31,6 +32,28 @@ def test_gauss_exact_on_polynomials():
     # degree 15 is the highest degree an 8-node rule integrates exactly
     vals = nodes**15
     assert float(weights @ vals) == pytest.approx(1.0 / 16.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 15, 63, 255, 2047])
+def test_fejer_rule_01(n):
+    nodes, weights = fejer_rule_01(n)
+    assert nodes.size == weights.size == n
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert np.all(np.diff(nodes) > 0) and 0 < nodes[0] and nodes[-1] < 1
+    assert np.max(np.abs(nodes + nodes[::-1] - 1.0)) <= 1e-15
+    assert np.max(np.abs(weights - weights[::-1])) <= 1e-15
+    assert abs(float(np.sum(weights)) - 1.0) <= 1e-15
+    # exact on t^k for k < n
+    power, worst = np.ones(n), 0.0
+    for k in range(n):
+        worst = max(worst, abs(float(weights @ power) - 1.0 / (k + 1)))
+        power = power * nodes
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 15, 63, 255, 1023])
+def test_fejer_rules_nest_bit_for_bit(n):
+    assert np.array_equal(fejer_rule_01(2 * n + 1)[0][1::2], fejer_rule_01(n)[0])
 
 
 def test_adaptive_smooth_integrand():

@@ -22,6 +22,24 @@ def test_space_spec_validation():
     assert not ol.SpaceSpec.hardy(1.0).reflexive
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_spec_and_config_numbers_are_rejected(bad):
+    with pytest.raises(ol.DomainError, match="p must be"):
+        ol.SpaceSpec.hardy(bad)
+    with pytest.raises(ol.DomainError, match="p must be"):
+        ol.SpaceSpec.bergman(bad, 0.0)
+    with pytest.raises(ol.DomainError, match="Bergman weight"):
+        ol.SpaceSpec.bergman(2.0, bad)
+    with pytest.raises(ol.DomainError, match="tol"):
+        ol.QuadConfig(tol=bad)
+    for radii in ((bad,), (0.5, bad), (bad, 0.5)):
+        with pytest.raises(ol.DomainError, match="hardy_radii"):
+            ol.QuadConfig(hardy_radii=radii)
+    for field in ("n_theta", "n_radial", "t_nodes"):
+        with pytest.raises(ol.DomainError, match=field):
+            ol.QuadConfig(**{field: bad})
+
+
 def test_quad_config_validation():
     with pytest.raises(ol.DomainError):
         ol.QuadConfig(n_theta=8)
@@ -163,6 +181,36 @@ def test_sup_norm_finds_a_narrow_peak_between_grid_points(n_theta):
         lambda w: 1.0 / (1.0 + eps - np.exp(1j * phi) * w), ol.QuadConfig(n_theta=n_theta)
     )
     assert res.value == pytest.approx(1.0 / eps, rel=1e-12)
+
+
+def test_sup_norm_raises_when_the_modulus_overflows_between_grid_points():
+    # Every grid value is finite, but |g| exceeds the float range near the
+    # peak between grid points; the sup norm must not come back as inf.
+    fam = ol.parse_symbol(
+        "C*(1+i)/(1 + e - exp(i*phi)*z)", {"C": 1.3e305, "e": 1e-3, "phi": math.pi / 2048 + 1e-4}
+    )
+    assert ol.is_boundary_continuous(fam)
+    with pytest.raises(ol.EvaluationError, match="between grid points"):
+        ol.sup_norm(ol.frozen_symbol(fam), ol.QuadConfig())
+
+
+@pytest.mark.parametrize("cells,arc", [(2, False), (3, True), (4, True)])
+def test_flat_arcs_need_three_cells(cells, arc):
+    # |g| = 1 exactly on `cells` grid cells around theta = 0, across the
+    # wrap-around, and falls off linearly outside them.  Three or more are
+    # a flat arc, kept at one grid cell; two are refined.
+    n = 64
+    h = 2 * math.pi / n
+    centre = (cells + 1) % 2 * h / 2
+    radius = (cells / 2 - 0.25) * h
+
+    def g(w):
+        off = np.abs(np.angle(w * np.exp(-1j * centre)))
+        return 1.0 - 0.1 * np.maximum(0.0, off - radius)
+
+    res = ol.sup_norm(g, ol.QuadConfig(n_theta=n))
+    assert res.value == 1.0
+    assert (res.residual == h) if arc else (res.residual < 1e-6)
 
 
 def test_eval_functional_norm_values():
